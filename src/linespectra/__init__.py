@@ -47,6 +47,7 @@ from .projective import (
     Configuration,
     DuplicatePointError,
     GeometryError,
+    InternalError,
     LineKey,
     LineSpectrum,
     ProjectivePoint,
@@ -82,6 +83,7 @@ __all__ = [
     "GENERATORS",
     "GeometryError",
     "InequalityReport",
+    "InternalError",
     "LineKey",
     "LineSpectrum",
     "PROVEN_KINDS",

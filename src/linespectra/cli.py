@@ -2,12 +2,14 @@
 
 All outputs are machine readable.  Exit codes: 0 on success, 1 for argument
 or input errors, 2 when an applicable proven check (identity, theorem or
-corollary) is violated, which always indicates a bug somewhere upstream.
-Conjectures and informational checks never affect the exit code.
+corollary) is violated, which always indicates a bug somewhere upstream,
+and 3 when an internal invariant of the line counting breaks, which is a bug
+in this package and never a fault of the input.  Conjectures and
+informational checks never affect the exit code.
 
-The --threads flag only changes how the pair enumeration is partitioned;
-it never changes an output byte, so it is excluded from the echoed argument
-map.
+The --threads flag is accepted (it must be at least 1) and ignored: the pair
+enumeration runs in one thread.  It never changes an output byte, so it is
+excluded from the echoed argument map.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .constructions import GENERATORS, expected_spectrum
 from .inequalities import exit_code_for, run_checks, violations
-from .projective import spectrum
+from .projective import InternalError, spectrum
 from .render import render_svg
 from .search import exhaustive_search, local_search
 from .serialization import (
@@ -65,7 +67,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="write the output document here instead of stdout")
     sp.add_argument("--seed", type=int, default=0, help="random seed")
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads for pair enumeration (speed only)")
+                    help="accepted for compatibility and ignored (must be >= 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,12 +134,6 @@ def _manifest(command: str, arguments: Dict, result) -> str:
     return dumps({"command": command, "arguments": arguments, "result": result})
 
 
-def _workers(args) -> int:
-    if args.threads < 1:
-        raise CliError("--threads must be at least 1")
-    return args.threads
-
-
 # ---------------------------------------------------------------------------
 # Handlers.
 
@@ -173,7 +169,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     config = load_configuration(args.input)
-    s = spectrum(config, workers=_workers(args))
+    s = spectrum(config)
     real = config.is_real()
     if args.format == "csv":
         _emit(spectrum_to_csv(s, real), args.out)
@@ -186,7 +182,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_check(args) -> int:
     which = "all" if args.all else args.which
     config = load_configuration(args.input)
-    s = spectrum(config, workers=_workers(args))
+    s = spectrum(config)
     try:
         reports = run_checks(s, config.is_real(), which)
     except KeyError as exc:
@@ -278,6 +274,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if handler is None:
             raise CliError("a subcommand is required "
                            "(generate, analyze, check, search, render)")
+        if args.threads < 1:
+            raise CliError("--threads must be at least 1")
         return handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -285,6 +283,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"error: internal error, please report it: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

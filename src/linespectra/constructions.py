@@ -150,7 +150,8 @@ def random_config(n: int, seed: int, bound: Optional[int] = None) -> Configurati
     _require(n >= 1, f"random_config wants n >= 1, got {n}")
     if bound is None:
         bound = 4 * n
-    _require(bound >= n, f"bound {bound} leaves too little room for {n} distinct points")
+    _require(bound >= 1 and bound * bound >= n,
+             f"bound {bound} leaves too little room for {n} distinct points")
     rng = random.Random(seed)
     seen = set()
     order = []

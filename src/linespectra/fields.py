@@ -588,15 +588,3 @@ def _nth_root_mod(N: int, p: int):
             return r
     return None
 
-
-def _screen_intvec(field: FieldDescriptor, vec: Sequence[int]) -> int:
-    p, images = _screen(field)
-    total = 0
-    for c, b in zip(vec, images):
-        if c:
-            total += c * b
-    return total % p
-
-
-def screen_prime(field: FieldDescriptor) -> int:
-    return _screen(field)[0]

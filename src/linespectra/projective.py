@@ -3,16 +3,21 @@
 Points and line keys are homogeneous coordinate triples over one exact field,
 canonicalized so the first nonzero coordinate is 1; equal projective objects
 are therefore structurally equal and hash alike.  Collinearity is the exact
-vanishing of a 3x3 determinant.  spanned_lines enumerates the O(n^2) point
-pairs and groups them by canonical line key; oracle_spanned_lines is the
-deliberately naive cross-check that retests membership of every other point
-with collinear() and must agree everywhere.
+vanishing of a 3x3 determinant.
+
+Every spanned-line count comes from one kernel, _row_groups: for each point
+i it groups the later points j > i by the line through i and j, keyed by the
+primitive integer cross product over Q and by line_through over the other
+fields.  spectrum folds the rows into line counts and degrees without
+keeping any line; spanned_lines keeps each line from the row of its
+smallest member.  oracle_spanned_lines is the deliberately naive cross-check
+that retests membership of every other point with collinear() and must
+agree everywhere.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Sequence
@@ -20,7 +25,6 @@ from typing import Dict, FrozenSet, Sequence
 from .fields import (
     FieldDescriptor,
     FieldElement,
-    FieldError,
     FieldMismatchError,
     RATIONAL,
     _mul_intvec,
@@ -35,6 +39,10 @@ class GeometryError(ValueError):
 
 class DuplicatePointError(GeometryError):
     pass
+
+
+class InternalError(RuntimeError):
+    """A broken internal invariant: a bug in this package, never bad input."""
 
 
 def _coerce_triple(coords, field: FieldDescriptor | None):
@@ -251,29 +259,6 @@ class LineSpectrum:
 # ---------------------------------------------------------------------------
 # Spanned lines.
 
-def _pair_chunks(n: int, workers: int):
-    rows = list(range(n - 1))
-    if workers <= 1:
-        return [rows]
-    return [rows[w::workers] for w in range(workers)]
-
-
-def _span_generic_chunk(points, rows):
-    local: Dict[LineKey, set] = {}
-    n = len(points)
-    for i in rows:
-        p = points[i]
-        for j in range(i + 1, n):
-            key = line_through(p, points[j])
-            members = local.get(key)
-            if members is None:
-                local[key] = {i, j}
-            else:
-                members.add(i)
-                members.add(j)
-    return local
-
-
 def _primitive_cross(u, v):
     a = u[1] * v[2] - u[2] * v[1]
     b = u[2] * v[0] - u[0] * v[2]
@@ -288,77 +273,90 @@ def _primitive_cross(u, v):
     return a, b, c
 
 
-def _span_rational_chunk(triples, rows):
-    local: Dict[tuple, set] = {}
-    n = len(triples)
-    for i in rows:
-        u = triples[i]
+def _row_groups(items, line_key):
+    """The one pair-grouping kernel.  For each index i, yields (i, row) where
+    row maps the key of each line through items[i] and a later item to the
+    ascending indices j > i of the items on it.  `line_key(u, v)` must name
+    the line through u and v canonically.  Each row's dict is dropped once
+    the consumer moves on, so memory stays O(n)."""
+    n = len(items)
+    for i in range(n - 1):
+        u = items[i]
+        row: Dict = {}
         for j in range(i + 1, n):
-            key = _primitive_cross(u, triples[j])
-            members = local.get(key)
-            if members is None:
-                local[key] = {i, j}
+            key = line_key(u, items[j])
+            group = row.get(key)
+            if group is None:
+                row[key] = [j]
             else:
-                members.add(i)
-                members.add(j)
-    return local
+                group.append(j)
+        yield i, row
 
 
-def _flat_triples(config: Configuration):
-    # rational coordinates cleared to plain integer triples
-    return [tuple(v[0] for v in p.intvecs) for p in config.points]
-
-
-def spanned_lines(config: Configuration, workers: int = 1):
-    """Map each spanned line's canonical key to the frozenset of indices of
-    the configuration points on it.  `workers` only partitions the pair loop;
-    it never changes the result."""
-    n = config.n
-    if n < 2:
-        return {}
-    workers = max(1, int(workers))
+def _keyed_items(config: Configuration):
+    """Kernel input for a configuration: primitive integer triples keyed by
+    their primitive cross product over Q, the points themselves keyed by
+    line_through over every other field."""
     if config.field.kind == RATIONAL:
-        triples = _flat_triples(config)
-        chunks = _pair_chunks(n, workers)
-        if len(chunks) == 1:
-            parts = [_span_rational_chunk(triples, chunks[0])]
-        else:
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                parts = list(
-                    pool.map(lambda rows: _span_rational_chunk(triples, rows), chunks)
-                )
-        merged: Dict[tuple, set] = {}
-        for part in parts:
-            for key, members in part.items():
-                if key in merged:
-                    merged[key].update(members)
-                else:
-                    merged[key] = members
+        return [tuple(v[0] for v in p.intvecs) for p in config.points], _primitive_cross
+    return config.points, line_through
+
+
+def _fold_rows(n: int, rows) -> LineSpectrum:
+    """Spectrum and degrees of n >= 2 points from the kernel's rows.
+
+    A line with members m1 < ... < mk shows up in row m_t as a group of the
+    k - t points after m_t, so it leaves one group of each size 1 .. k-1.
+    With G[s] the number of groups of size s, G[s] counts the lines with
+    more than s members, hence l_k = G[k-1] - G[k].  The line's only
+    singleton group is {mk}, in row m_(k-1); every other member m_t meets
+    it as one group of its own row.  So deg(i) = (groups in row i) +
+    (singleton groups equal to {i})."""
+    group_sizes: Dict[int, int] = {}
+    degrees = [0] * n
+    for i, row in rows:
+        degrees[i] += len(row)
+        for group in row.values():
+            size = len(group)
+            group_sizes[size] = group_sizes.get(size, 0) + 1
+            if size == 1:
+                degrees[group[0]] += 1
+    ell: Dict[int, int] = {}
+    for k in range(2, max(group_sizes, default=0) + 2):
+        count = group_sizes.get(k - 1, 0) - group_sizes.get(k, 0)
+        if count < 0:
+            raise InternalError(f"line grouping is inconsistent: l_{k} = {count}")
+        if count:
+            ell[k] = count
+    if sum(k * (k - 1) // 2 * c for k, c in ell.items()) != n * (n - 1) // 2:
+        raise InternalError("line grouping does not cover every point pair once")
+    return LineSpectrum(
+        n=n,
+        ell=ell,
+        total_lines=sum(ell.values()),
+        incidences=sum(k * c for k, c in ell.items()),
+        max_collinear=max(ell),
+        degrees=tuple(degrees),
+    )
+
+
+def spanned_lines(config: Configuration):
+    """Map each spanned line's canonical key to the frozenset of indices of
+    the configuration points on it."""
+    items, line_key = _keyed_items(config)
+    found = {}
+    # a key's first row is the row of the line's smallest member
+    for i, row in _row_groups(items, line_key):
+        for key, group in row.items():
+            if key not in found:
+                found[key] = frozenset([i, *group])
+    if config.field.kind == RATIONAL:
         fld = config.field
-        out = {
-            LineKey([Fraction(a), Fraction(b), Fraction(c)], fld): frozenset(members)
-            for (a, b, c), members in merged.items()
+        found = {
+            LineKey([Fraction(a), Fraction(b), Fraction(c)], fld): members
+            for (a, b, c), members in found.items()
         }
-    else:
-        chunks = _pair_chunks(n, workers)
-        points = config.points
-        if len(chunks) == 1:
-            parts = [_span_generic_chunk(points, chunks[0])]
-        else:
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                parts = list(
-                    pool.map(lambda rows: _span_generic_chunk(points, rows), chunks)
-                )
-        out = {}
-        merged_g: Dict[LineKey, set] = {}
-        for part in parts:
-            for key, members in part.items():
-                if key in merged_g:
-                    merged_g[key].update(members)
-                else:
-                    merged_g[key] = members
-        out = {key: frozenset(members) for key, members in merged_g.items()}
-    return dict(sorted(out.items(), key=lambda kv: kv[0].sort_token()))
+    return dict(sorted(found.items(), key=lambda kv: kv[0].sort_token()))
 
 
 def oracle_spanned_lines(config: Configuration):
@@ -386,81 +384,6 @@ def oracle_spanned_lines(config: Configuration):
 # ---------------------------------------------------------------------------
 # Spectrum.
 
-_LEAN_THRESHOLD = 600
-
-
-def _size_from_pair_count(c: int) -> int:
-    k = (1 + math.isqrt(1 + 8 * c)) // 2
-    if k * (k - 1) != 2 * c:
-        raise GeometryError("pair count is not triangular; grouping is broken")
-    return k
-
-
-def _spectrum_lean(config: Configuration) -> LineSpectrum:
-    """Counting-only path for large rational configurations: primitive integer
-    keys are packed, sorted, and run-length counted; degrees use exact scaled
-    integer accumulation.  No per-line membership sets are materialized."""
-    triples = _flat_triples(config)
-    n = len(triples)
-    bound = max(abs(x) for t in triples for x in t)
-    m = 2 * bound * bound + 1
-    shift = 2 * m + 1
-
-    packed = []
-    append = packed.append
-    for i in range(n - 1):
-        u = triples[i]
-        for j in range(i + 1, n):
-            a, b, c = _primitive_cross(u, triples[j])
-            append(((a + m) * shift + (b + m)) * shift + (c + m))
-    packed.sort()
-
-    ell: Dict[int, int] = {}
-    big_lines: Dict[int, int] = {}
-    total = 0
-    run_start = 0
-    count = len(packed)
-    for idx in range(1, count + 1):
-        if idx == count or packed[idx] != packed[run_start]:
-            pairs = idx - run_start
-            k = _size_from_pair_count(pairs)
-            ell[k] = ell.get(k, 0) + 1
-            if k > 2:
-                big_lines[packed[run_start]] = k
-            total += 1
-            run_start = idx
-    del packed
-
-    max_collinear = max(ell) if ell else (1 if n == 1 else 0)
-    incidences = sum(i * c for i, c in ell.items())
-
-    scale = math.lcm(*range(1, max(max_collinear, 2)))
-    deg_scaled = [0] * n
-    for i in range(n - 1):
-        u = triples[i]
-        for j in range(i + 1, n):
-            a, b, c = _primitive_cross(u, triples[j])
-            key = ((a + m) * shift + (b + m)) * shift + (c + m)
-            k = big_lines.get(key, 2)
-            w = scale // (k - 1)
-            deg_scaled[i] += w
-            deg_scaled[j] += w
-    degrees = []
-    for d in deg_scaled:
-        if d % scale:
-            raise GeometryError("degree accumulation is broken")
-        degrees.append(d // scale)
-
-    return LineSpectrum(
-        n=n,
-        ell=ell,
-        total_lines=total,
-        incidences=incidences,
-        max_collinear=max_collinear,
-        degrees=tuple(degrees),
-    )
-
-
 def spectrum_from_lines(n: int, lines) -> LineSpectrum:
     ell: Dict[int, int] = {}
     degrees = [0] * n
@@ -480,7 +403,7 @@ def spectrum_from_lines(n: int, lines) -> LineSpectrum:
     )
 
 
-def spectrum(config: Configuration, workers: int = 1) -> LineSpectrum:
+def spectrum(config: Configuration) -> LineSpectrum:
     """Line spectrum of a configuration.  n < 2 yields the empty spectrum."""
     n = config.n
     if n < 2:
@@ -488,9 +411,7 @@ def spectrum(config: Configuration, workers: int = 1) -> LineSpectrum:
             n=n, ell={}, total_lines=0, incidences=0,
             max_collinear=min(n, 1), degrees=(0,) * n,
         )
-    if config.field.kind == RATIONAL and n >= _LEAN_THRESHOLD:
-        return _spectrum_lean(config)
-    return spectrum_from_lines(n, spanned_lines(config, workers=workers))
+    return _fold_rows(n, _row_groups(*_keyed_items(config)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,17 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import rational_field
-from .projective import Configuration, ProjectivePoint
+from .projective import (
+    Configuration,
+    ProjectivePoint,
+    _fold_rows,
+    _primitive_cross,
+    _row_groups,
+)
 
 OBJECTIVES = ("incidences", "lines")
 
@@ -46,25 +51,11 @@ class SearchRecord:
 
 
 def _int_stats(pts: Sequence[Tuple[int, int]]) -> Tuple[int, int, int]:
-    """(total_lines, incidences, max_collinear) for distinct integer points.
-
-    Pairs are grouped by the primitive integer triple of the affine line
-    through them, the same keying the spectrum computation uses."""
-    lines: Dict[Tuple[int, int, int], set] = {}
-    for i in range(len(pts)):
-        x1, y1 = pts[i]
-        for j in range(i + 1, len(pts)):
-            x2, y2 = pts[j]
-            a = y1 - y2
-            b = x2 - x1
-            c = x1 * y2 - x2 * y1
-            g = gcd(gcd(abs(a), abs(b)), abs(c))
-            a, b, c = a // g, b // g, c // g
-            if a < 0 or (a == 0 and b < 0):
-                a, b, c = -a, -b, -c
-            lines.setdefault((a, b, c), set()).update((i, j))
-    sizes = [len(members) for members in lines.values()]
-    return len(lines), sum(sizes), max(sizes, default=0)
+    """(total_lines, incidences, max_collinear) for distinct integer points,
+    folded from the spectrum's row kernel over their (x, y, 1) triples."""
+    rows = _row_groups([(x, y, 1) for x, y in pts], _primitive_cross)
+    s = _fold_rows(len(pts), rows)
+    return s.total_lines, s.incidences, s.max_collinear
 
 
 def _objective_value(stats: Tuple[int, int, int], kind: str) -> int:
@@ -239,7 +230,7 @@ def local_search(n: int, bound: Optional[int] = None, cap: Optional[int] = None,
         raise SearchError(f"local search wants n >= 4, got {n}")
     if bound is None:
         bound = 4 * n
-    if bound < n:
+    if bound < 1 or bound * bound < n:
         raise SearchError(f"bound {bound} leaves too little room for {n} distinct points")
     if cap is None:
         cap = n

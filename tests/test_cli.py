@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import linespectra.cli as cli_mod
+import linespectra.projective as projective_mod
 from linespectra.cli import main
 from linespectra.inequalities import InequalityReport
 from linespectra.serialization import load_configuration
@@ -217,6 +218,21 @@ def test_check_exit_two_on_violated_proof(tmp_path, capsys, monkeypatch):
     result = json.loads(out)["result"]
     assert result["violations"] == ["synthetic"]
     assert result["exit_code"] == 2
+
+
+@pytest.mark.parametrize("rows", [
+    # every pair once, but one group of three and none of two: l_3 = -1
+    [(0, {"a": [1, 2, 3]}), (1, {"b": [2], "c": [3]}), (2, {"d": [3]})],
+    # l_2 = 1 is consistent, but 5 of the 6 point pairs are missing
+    [(0, {"a": [1]})],
+])
+def test_broken_line_grouping_exits_three(tmp_path, capsys, monkeypatch, rows):
+    path = gen(tmp_path, capsys, "grid", "--a", "2", "--b", "2")
+    monkeypatch.setattr(projective_mod, "_row_groups", lambda *a: iter(rows))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
 
 
 # --- search ---

@@ -173,12 +173,22 @@ def test_labels_identify_the_family():
         lambda: grid(1, 3),
         lambda: grid(3, 1),
         lambda: random_config(0, seed=0),
-        lambda: random_config(10, seed=0, bound=5),
+        lambda: random_config(10, seed=0, bound=3),
+        lambda: random_config(1, seed=0, bound=0),
+        lambda: random_config(1, seed=0, bound=-2),
     ],
 )
 def test_parameter_validation(call):
     with pytest.raises(ConstructionError):
         call()
+
+
+def test_random_config_fills_a_small_square():
+    # [0, bound)^2 holds bound^2 points, so n may exceed bound
+    config = random_config(12, seed=4, bound=5)
+    assert config.n == 12
+    full = random_config(9, seed=1, bound=3)
+    assert set(full.points) == set(grid(3, 3).points)
 
 
 def test_construction_error_is_a_value_error():

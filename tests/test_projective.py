@@ -9,8 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linespectra.constructions import fermat, grid, near_pencil, random_config
-from linespectra.fields import cyclotomic_field, rational_field
+from linespectra.constructions import (
+    boroczky,
+    fermat,
+    grid,
+    near_pencil,
+    random_config,
+    sylvester_cubic,
+)
+from linespectra.fields import cyclotomic_field, quadratic_field, rational_field
 from linespectra.projective import (
     Configuration,
     DuplicatePointError,
@@ -186,18 +193,109 @@ def test_grid_3x3_spectrum():
     assert s.max_collinear == 3
 
 
-def test_worker_count_does_not_change_result():
-    config = grid(4, 4)
-    assert spectrum(config, workers=3) == spectrum(config)
-    assert spectrum(config, workers=2) == spectrum(config, workers=5)
-
-
 def test_large_rational_config_agrees_with_line_dictionary():
-    # past a size threshold the rational code path stops materializing
-    # line keys; it must still count exactly like the dictionary route
+    # spectrum folds the row groups into counts without keeping any line;
+    # at a size where every row is large it must still count exactly like
+    # the dictionary of lines
     config = random_config(650, seed=0)
     by_lines = spectrum_from_lines(config.n, spanned_lines(config))
     assert spectrum(config) == by_lines
+
+
+# --- the row fold against the oracle ---
+
+Q2 = quadratic_field(2)
+Z5 = cyclotomic_field(5)
+
+
+def _gen(fld):
+    # the field's generator; over Q a non-integer rational stands in for it
+    if fld.kind == "quadratic":
+        return fld.sqrt_gen()
+    if fld.kind == "cyclotomic":
+        return fld.zeta()
+    return fld.from_rational(Fraction(1, 3))
+
+
+def _two_points(fld):
+    g = _gen(fld)
+    return Configuration(fld, (ProjectivePoint((g, fld.one(), fld.one()), fld),
+                               ProjectivePoint((fld.one(), g, fld.zero()), fld)))
+
+
+def _all_collinear(fld, n):
+    # the points (t, g t + 1, 1) for t = 0, 1, ..., n - 1 all lie on y = g x + 1
+    g = _gen(fld)
+    return Configuration(fld, tuple(
+        ProjectivePoint((fld.from_rational(t), g * t + 1, fld.one()), fld)
+        for t in range(n)))
+
+
+def _near_pencil(fld, n):
+    # n - 1 points on y = g x + 1 plus one point off it
+    return Configuration(fld, _all_collinear(fld, n - 1).points
+                         + (ProjectivePoint((fld.one(), fld.zero(), fld.one()), fld),))
+
+
+def _moved_grid(fld, a, b):
+    # a rational grid embedded in fld and moved by a map with entries outside Q
+    g = _gen(fld)
+    embedded = Configuration(fld, tuple(
+        ProjectivePoint([fld.from_rational(c.coeffs[0]) for c in p.coords], fld)
+        for p in grid(a, b).points))
+    return apply_projective_map(embedded, [[g, 1, 0], [0, g, 1], [1, 0, g + 2]])
+
+
+ORACLE_CASES = {
+    "Q-two-points": lambda: cfg((0, 0, 1), (1, 1, 1)),
+    "Q-all-collinear": lambda: cfg(*((t, 2 * t - 1, 1) for t in range(7))),
+    "Q-near-pencil": lambda: near_pencil(9),
+    "Q-grid": lambda: grid(4, 5),
+    "Q-random": lambda: random_config(30, seed=5),
+    "Q2-two-points": lambda: _two_points(Q2),
+    "Q2-all-collinear": lambda: _all_collinear(Q2, 6),
+    "Q2-near-pencil": lambda: _near_pencil(Q2, 7),
+    "Q2-moved-grid": lambda: _moved_grid(Q2, 3, 4),
+    "Z5-two-points": lambda: _two_points(Z5),
+    "Z5-all-collinear": lambda: _all_collinear(Z5, 5),
+    "Z5-near-pencil": lambda: _near_pencil(Z5, 6),
+    "Z5-moved-grid": lambda: _moved_grid(Z5, 3, 3),
+    "fermat": lambda: fermat(4),
+    "boroczky": lambda: boroczky(6),
+    "sylvester-cubic": lambda: sylvester_cubic(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_spectrum_matches_oracle_lines(name):
+    config = ORACLE_CASES[name]()
+    assert spectrum(config) == spectrum_from_lines(config.n, oracle_spanned_lines(config))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    fld=st.sampled_from([Q, Q2, Z5]),
+    coords=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 3)),
+        min_size=2,
+        max_size=8,
+        unique=True,
+    ),
+    data=st.data(),
+)
+def test_permuting_points_permutes_degrees(fld, coords, data):
+    # (x, y) = (a + b g, c): the b = 1 points make the extension-field
+    # lines, the b = 0 points a small rational grid
+    g = _gen(fld)
+    points = tuple(
+        ProjectivePoint((g * b + a, fld.from_rational(c), fld.one()), fld)
+        for a, b, c in coords
+    )
+    perm = data.draw(st.permutations(range(len(points))))
+    base = spectrum(Configuration(fld, points))
+    moved = spectrum(Configuration(fld, tuple(points[k] for k in perm)))
+    assert moved.ell == base.ell
+    assert moved.degrees == tuple(base.degrees[k] for k in perm)
 
 
 def test_spectrum_from_lines_rebuilds_spectrum():

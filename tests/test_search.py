@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import linespectra.search as search_mod
+from linespectra.constructions import grid
 from linespectra.projective import spectrum
 from linespectra.search import SearchError, exhaustive_search, local_search
 
@@ -142,11 +143,20 @@ def test_checkpoint_junk_file_is_rejected(tmp_path):
         lambda: local_search(8, restarts=0),
         lambda: local_search(8, cap=1),
         lambda: local_search(8, objective="nonsense"),
+        lambda: local_search(10, bound=3),
+        lambda: local_search(4, bound=-2),
     ],
 )
 def test_invalid_search_parameters(call):
     with pytest.raises(SearchError):
         call()
+
+
+def test_local_search_fits_more_points_than_the_bound():
+    # [0, bound)^2 holds bound^2 points, so n may exceed bound
+    record = local_search(12, bound=5, cap=5, iterations=30, seed=3, restarts=1)
+    assert record.best_config.n == 12
+    assert set(record.best_config.points) <= set(grid(5, 5).points)
 
 
 def test_search_error_is_a_value_error():
