@@ -7,6 +7,15 @@ so equality is structural and hashing is canonical.  Cyclotomic elements are
 residues modulo the N-th cyclotomic polynomial (degree phi(N)); conjugation
 maps zeta to zeta^(N-1), i.e. complex conjugation under the standard
 embedding.  No floating point is used anywhere in this module.
+
+All arithmetic runs on integer coefficient vectors.  For Q(zeta_N) one cached
+table, _powers(N)[k] = x^k mod Phi_N for 0 <= k < N, serves three jobs:
+products reduce x^k through row k mod N (x^N = 1 mod Phi_N), the Galois map
+zeta -> zeta^k sends x^i to row i*k mod N, and zeta itself is row 1.  Every
+field inverts through the norm: with adj the product of the element's
+non-identity Galois conjugates, a * adj = N(a) is a nonzero integer over the
+common denominator, so a^-1 = adj / N(a) (Cohen, A Course in Computational
+Algebraic Number Theory, 1993).
 """
 
 from __future__ import annotations
@@ -67,15 +76,6 @@ def _divisors(n: int) -> list:
 
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (coefficient lists, lowest degree first).
-
-def _zpoly_mul(a: Sequence[int], b: Sequence[int]) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
 
 def _zpoly_div_exact(num: Sequence[int], den: Sequence[int]) -> list:
     """Exact division of integer polynomials with a monic divisor."""
@@ -173,11 +173,7 @@ class FieldDescriptor:
         """Primitive N-th root of unity (cyclotomic fields only)."""
         if self.kind != CYCLOTOMIC:
             raise FieldError("zeta lives in cyclotomic fields")
-        if self.N == 1:
-            return self.one()
-        if self.N == 2:
-            return self.from_rational(-1)
-        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2), 1)
+        return FieldElement(self, _powers(self.N)[1 % self.N], 1)
 
     def sqrt_gen(self) -> "FieldElement":
         """The generator sqrt(d) (quadratic fields only)."""
@@ -206,33 +202,22 @@ def cyclotomic_field(N: int) -> FieldDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# Cached per-field data: reduction rows mod Phi_N and power tables.
+# Integer-vector arithmetic: products, Galois images and conjugates.
 
 @lru_cache(maxsize=None)
-def _cyclo_ctx(N: int):
-    """(phi, Phi_N, reduction rows for x^phi..x^(2phi-2), x^k mod Phi for k < N)."""
+def _powers(N: int) -> tuple:
+    """x^k mod Phi_N for 0 <= k < N, as integer vectors of length phi(N)."""
     phi_coeffs = cyclotomic_polynomial(N)
     deg = len(phi_coeffs) - 1
-    base = tuple(-c for c in phi_coeffs[:deg])  # x^deg mod Phi
-    rows = {deg: base}
-    cur = list(base)
-    top_needed = max(2 * deg - 2, N - 1)
-    for k in range(deg + 1, top_needed + 1):
-        top = cur[deg - 1]
-        cur = [0] + cur[: deg - 1]
-        if top:
-            cur = [cur[i] + top * base[i] for i in range(deg)]
-        rows[k] = tuple(cur)
-    powtab = []
-    for k in range(N):
-        if k < deg:
-            vec = [0] * deg
-            vec[k] = 1
-            powtab.append(tuple(vec))
-        else:
-            powtab.append(rows[k])
-    mulrows = tuple(rows[k] for k in range(deg, 2 * deg - 1)) if deg > 1 else ()
-    return deg, phi_coeffs, mulrows, tuple(powtab)
+    cur = [1] + [0] * (deg - 1)
+    rows = []
+    for _ in range(N):
+        rows.append(tuple(cur))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:  # x^deg = x^deg - Phi_N (mod Phi_N)
+            cur = [c - top * f for c, f in zip(cur, phi_coeffs)]
+    return tuple(rows)
 
 
 def _mul_intvec(field: FieldDescriptor, u: Sequence[int], v: Sequence[int]) -> tuple:
@@ -241,70 +226,45 @@ def _mul_intvec(field: FieldDescriptor, u: Sequence[int], v: Sequence[int]) -> t
         return (u[0] * v[0],)
     if field.kind == QUADRATIC:
         return (u[0] * v[0] + field.d * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-    deg, _, mulrows, _ = _cyclo_ctx(field.N)
-    if deg == 1:
-        return (u[0] * v[0],)
+    deg = len(u)
     conv = [0] * (2 * deg - 1)
     for i, x in enumerate(u):
         if x:
             for j, y in enumerate(v):
                 conv[i + j] += x * y
     out = conv[:deg]
-    for k in range(2 * deg - 2, deg - 1, -1):
+    N = field.N
+    powers = _powers(N)
+    for k in range(deg, 2 * deg - 1):
         c = conv[k]
         if c:
-            row = mulrows[k - deg]
+            row = powers[k % N]
             for i in range(deg):
                 out[i] += c * row[i]
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# Rational polynomial helpers (for inversion mod Phi_N).
-
-def _qtrim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _qdivmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = 1 / b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = a[db + k] * inv_lead
+def _galois(field: FieldDescriptor, nums: Sequence[int], k: int) -> tuple:
+    """Image of an element of Q(zeta_N) under zeta -> zeta^k."""
+    N = field.N
+    powers = _powers(N)
+    out = [0] * len(nums)
+    for i, c in enumerate(nums):
         if c:
-            q[k] = c
-            for i, y in enumerate(b):
-                a[k + i] -= c * y
-    return q, _qtrim(a[:db])
+            for j, r in enumerate(powers[i * k % N]):
+                if r:
+                    out[j] += c * r
+    return tuple(out)
 
 
-def _inverse_mod_phi(nums: Sequence[int], den: int, N: int):
-    """Extended Euclid against Phi_N; returns Fraction coefficients of the inverse."""
-    _, phi_coeffs, _, _ = _cyclo_ctx(N)
-    r0 = [Fraction(c) for c in phi_coeffs]
-    r1 = _qtrim([Fraction(x, den) for x in nums])
-    s0, s1 = [], [Fraction(1)]
-    while len(r1) > 1:
-        q, r = _qdivmod(r0, r1)
-        qs1 = [Fraction(0)] * (len(q) + len(s1) - 1) if s1 else []
-        for i, x in enumerate(q):
-            if x:
-                for j, y in enumerate(s1):
-                    qs1[i + j] += x * y
-        s_next = [
-            (s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)
-            for i in range(max(len(s0), len(qs1)))
-        ]
-        r0, r1 = r1, r
-        s0, s1 = s1, _qtrim(s_next)
-    if not r1:
-        raise ZeroDivisionError("element is zero modulo Phi_N")
-    c = r1[0]
-    return [x / c for x in s1]
+def _conjugates(field: FieldDescriptor, nums: Sequence[int]) -> list:
+    """The element's images under every non-identity field automorphism."""
+    if field.kind == RATIONAL:
+        return []
+    if field.kind == QUADRATIC:
+        return [(nums[0], -nums[1])]
+    N = field.N
+    return [_galois(field, nums, k) for k in range(2, N) if math.gcd(k, N) == 1]
 
 
 class FieldElement:
@@ -393,23 +353,15 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError(f"division by zero in {self.field}")
-        kind = self.field.kind
-        if kind == RATIONAL:
-            return FieldElement(self.field, (self.den,), self.nums[0])
-        if kind == QUADRATIC:
-            a, b = self.nums
-            norm = a * a - self.field.d * b * b
-            # norm != 0: sqrt(d) is irrational, so a^2 = d*b^2 forces a = b = 0
-            return FieldElement(
-                self.field, (self.den * a, -self.den * b), norm
-            )
-        if self.field.degree == 1:
-            return FieldElement(self.field, (self.den,), self.nums[0])
-        inv = _inverse_mod_phi(self.nums, self.den, self.field.N)
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
-        den = math.lcm(*(f.denominator for f in inv))
-        nums = tuple(f.numerator * (den // f.denominator) for f in inv)
-        return FieldElement(self.field, nums, den)
+        field = self.field
+        images = iter(_conjugates(field, self.nums))
+        adj = next(images, (1,))  # no conjugates: the field has degree 1
+        for image in images:
+            adj = _mul_intvec(field, adj, image)
+        # the product with every conjugate is the norm, a nonzero integer
+        norm = _mul_intvec(field, self.nums, adj)[0]
+        den = self.den
+        return FieldElement(field, [den * x for x in adj], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -448,17 +400,7 @@ class FieldElement:
             return self
         if kind == QUADRATIC:
             return FieldElement(self.field, (self.nums[0], -self.nums[1]), self.den)
-        N = self.field.N
-        if N <= 2:
-            return self
-        deg, _, _, powtab = _cyclo_ctx(N)
-        out = [0] * deg
-        for i, c in enumerate(self.nums):
-            if c:
-                row = powtab[(N - i) % N]
-                for j in range(deg):
-                    out[j] += c * row[j]
-        return FieldElement(self.field, tuple(out), self.den)
+        return FieldElement(self.field, _galois(self.field, self.nums, -1), self.den)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -469,12 +411,7 @@ class FieldElement:
     def is_real(self) -> bool:
         """True iff the element is fixed by complex conjugation under the
         standard embedding (real quadratic fields are pointwise real)."""
-        kind = self.field.kind
-        if kind == RATIONAL:
-            return True
-        if kind == QUADRATIC:
-            return self.field.d > 0 or self.nums[1] == 0
-        if self.field.N <= 2:
+        if self.field.kind == QUADRATIC and self.field.d > 0:
             return True
         return self.conjugate() == self
 
@@ -490,13 +427,14 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.nums, self.den))
+        # rational values hash like the int or Fraction they compare equal to
+        nums, den = self.nums, self.den
+        if any(nums[1:]):
+            return hash((self.field, nums, den))
+        return hash(nums[0]) if den == 1 else hash(Fraction(nums[0], den))
 
     def __repr__(self):
-        if self.field.kind == RATIONAL or self.field.degree == 1:
-            return str(Fraction(self.nums[0], self.den))
-        names = {QUADRATIC: f"s{self.field.d}", CYCLOTOMIC: "z"}
-        sym = names[self.field.kind]
+        sym = "z" if self.field.kind == CYCLOTOMIC else f"s{self.field.d}"
         parts = []
         for i, c in enumerate(self.coeffs):
             if not c:

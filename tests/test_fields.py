@@ -160,6 +160,14 @@ def test_degenerate_cyclotomic_fields():
     assert cyclotomic_field(2).zeta() == -1
     assert cyclotomic_field(1).degree == 1
     assert cyclotomic_field(2).degree == 1
+    for N in (1, 2):
+        F = cyclotomic_field(N)
+        e = F.element([Fraction(-3, 7)])
+        assert e.inverse() == F.element([Fraction(-7, 3)])
+        assert F.zeta().inverse() == F.zeta()
+        assert e.conjugate() == e
+        assert e.is_real() and F.zeta().is_real()
+        assert repr(e) == "-3/7" and repr(F.zero()) == "0"
 
 
 def test_field_descriptor_validation():
@@ -204,6 +212,11 @@ def test_equality_and_hash_consistency():
     assert a == b and hash(a) == hash(b)
     assert Q.element([7]) == 7 == Fraction(7)
     assert Q3.zero() == 0
+    for x in (7, Fraction(7), Fraction(-2, 3), 0):
+        for F in (Q, quadratic_field(-3), Q12):
+            e = F.from_rational(x)
+            assert e == x and hash(e) == hash(x)
+            assert len({e, x}) == 1
 
 
 def _random_element(rng, field):
@@ -215,6 +228,8 @@ def _random_element(rng, field):
 
 @pytest.mark.parametrize("field", [
     Q, quadratic_field(2), quadratic_field(-3), cyclotomic_field(5), Q12,
+    cyclotomic_field(1), cyclotomic_field(2), cyclotomic_field(8),
+    cyclotomic_field(15), cyclotomic_field(60),
 ], ids=str)
 def test_field_axioms_randomized(field):
     rng = random.Random(20240 + field.degree)
@@ -254,3 +269,29 @@ def test_conjugation_is_ring_automorphism(a, b):
 def test_element_times_inverse_is_one(a):
     if not a.is_zero():
         assert a * a.inverse() == cyclotomic_field(7).one()
+
+
+@pytest.mark.parametrize("N", [3, 5, 8, 12, 15, 16, 60, 80])
+def test_cyclotomic_arithmetic_matches_sympy(N):
+    """Products, inverses and conjugates against sympy's independent
+    polynomial arithmetic modulo Phi_N."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    phi = sympy.cyclotomic_poly(N, x)
+    F = cyclotomic_field(N)
+
+    def as_poly(e, k=1):  # the image of e under zeta -> zeta^k, unreduced
+        return sum(sympy.Rational(c.numerator, c.denominator) * x ** (i * k % N)
+                   for i, c in enumerate(e.coeffs))
+
+    def from_poly(expr):
+        coeffs = sympy.Poly(expr, x).all_coeffs()[::-1]
+        coeffs += [0] * (F.degree - len(coeffs))
+        return F.element([Fraction(int(c.p), int(c.q)) for c in coeffs])
+
+    rng = random.Random(N)
+    for _ in range(3):
+        a, b = _random_element(rng, F), _random_element(rng, F)
+        assert a * b == from_poly(sympy.rem(as_poly(a) * as_poly(b), phi, x))
+        assert a.inverse() == from_poly(sympy.invert(as_poly(a), phi, x))
+        assert a.conjugate() == from_poly(sympy.rem(as_poly(a, -1), phi, x))

@@ -237,12 +237,17 @@ def _near_pencil(fld, n):
                          + (ProjectivePoint((fld.one(), fld.zero(), fld.one()), fld),))
 
 
+def _embed(fld, config):
+    # the same rational coordinates, read as elements of fld
+    return Configuration(fld, tuple(
+        ProjectivePoint([fld.from_rational(c.coeffs[0]) for c in p.coords], fld)
+        for p in config.points))
+
+
 def _moved_grid(fld, a, b):
     # a rational grid embedded in fld and moved by a map with entries outside Q
     g = _gen(fld)
-    embedded = Configuration(fld, tuple(
-        ProjectivePoint([fld.from_rational(c.coeffs[0]) for c in p.coords], fld)
-        for p in grid(a, b).points))
+    embedded = _embed(fld, grid(a, b))
     return apply_projective_map(embedded, [[g, 1, 0], [0, g, 1], [1, 0, g + 2]])
 
 
@@ -296,6 +301,22 @@ def test_permuting_points_permutes_degrees(fld, coords, data):
     moved = spectrum(Configuration(fld, tuple(points[k] for k in perm)))
     assert moved.ell == base.ell
     assert moved.degrees == tuple(base.degrees[k] for k in perm)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 2)),
+    min_size=2,
+    max_size=10,
+    unique_by=lambda t: (Fraction(t[0], t[2]), Fraction(t[1], t[2])),
+))
+def test_embedding_into_extension_fields_keeps_spectrum(coords):
+    # over Q lines are keyed by primitive integer triples, elsewhere by
+    # line_through, whose canonical form divides by field elements
+    config = Configuration(Q, tuple(pt(*c) for c in coords))
+    base = spectrum(config)
+    for fld in (Q2, quadratic_field(-3), Z5, cyclotomic_field(12)):
+        assert spectrum(_embed(fld, config)) == base
 
 
 def test_spectrum_from_lines_rebuilds_spectrum():

@@ -59,6 +59,16 @@ def test_field_from_json_rejects_unknown_kind():
         field_from_json({"kind": "quadratic"})
 
 
+@pytest.mark.parametrize("data", [
+    {"kind": "quadratic", "d": 2.9},
+    {"kind": "cyclotomic", "N": 12.5},
+    {"kind": "cyclotomic", "N": True},
+], ids=str)
+def test_field_from_json_rejects_inexact_parameters(data):
+    with pytest.raises(SerializationError):
+        field_from_json(data)
+
+
 def test_element_round_trips():
     Q = rational_field()
     e = Q.from_rational(Fraction(-5, 3))
