@@ -135,7 +135,7 @@ class _HomogeneousTriple:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((type(self).__name__, self.field, self.coords))
+            h = hash((type(self).__name__, self.field, self.sort_token()))
             object.__setattr__(self, "_hash", h)
         return h
 
