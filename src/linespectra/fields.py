@@ -257,14 +257,14 @@ def _galois(field: FieldDescriptor, nums: Sequence[int], k: int) -> tuple:
     return tuple(out)
 
 
-def _conjugates(field: FieldDescriptor, nums: Sequence[int]) -> list:
+def _conjugates(field: FieldDescriptor, nums: Sequence[int]) -> tuple:
     """The element's images under every non-identity field automorphism."""
     if field.kind == RATIONAL:
-        return []
+        return ()
     if field.kind == QUADRATIC:
-        return [(nums[0], -nums[1])]
+        return ((nums[0], -nums[1]),)
     N = field.N
-    return [_galois(field, nums, k) for k in range(2, N) if math.gcd(k, N) == 1]
+    return tuple(_galois(field, nums, k) for k in range(2, N) if math.gcd(k, N) == 1)
 
 
 class FieldElement:
@@ -351,15 +351,15 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError(f"division by zero in {self.field}")
         field = self.field
         images = iter(_conjugates(field, self.nums))
         adj = next(images, (1,))  # no conjugates: the field has degree 1
         for image in images:
             adj = _mul_intvec(field, adj, image)
-        # the product with every conjugate is the norm, a nonzero integer
+        # the product with every conjugate is the norm, zero only for zero
         norm = _mul_intvec(field, self.nums, adj)[0]
+        if not norm:
+            raise ZeroDivisionError(f"division by zero in {field}")
         den = self.den
         return FieldElement(field, [den * x for x in adj], norm)
 
