@@ -15,7 +15,8 @@ zeta -> zeta^k sends x^i to row i*k mod N, and zeta itself is row 1.  Every
 field inverts through the norm: with adj the product of the element's
 non-identity Galois conjugates, a * adj = N(a) is a nonzero integer over the
 common denominator, so a^-1 = adj / N(a) (Cohen, A Course in Computational
-Algebraic Number Theory, 1993).
+Algebraic Number Theory, 1993).  A rational value, such as the pivot 1 of
+every canonical point, is fixed by every automorphism and takes adj = 1.
 """
 
 from __future__ import annotations
@@ -351,16 +352,18 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        field = self.field
-        images = iter(_conjugates(field, self.nums))
-        adj = next(images, (1,))  # no conjugates: the field has degree 1
-        for image in images:
-            adj = _mul_intvec(field, adj, image)
-        # the product with every conjugate is the norm, zero only for zero
-        norm = _mul_intvec(field, self.nums, adj)[0]
+        field, nums, den = self.field, self.nums, self.den
+        if any(nums[1:]):
+            images = iter(_conjugates(field, nums))
+            adj = next(images)
+            for image in images:
+                adj = _mul_intvec(field, adj, image)
+            # the product with every conjugate is the norm, zero only for zero
+            norm = _mul_intvec(field, nums, adj)[0]
+        else:  # a rational value is its own conjugate, so adj = 1 suffices
+            adj, norm = (1,) + nums[1:], nums[0]
         if not norm:
             raise ZeroDivisionError(f"division by zero in {field}")
-        den = self.den
         return FieldElement(field, [den * x for x in adj], norm)
 
     def __truediv__(self, other):
