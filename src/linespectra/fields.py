@@ -17,6 +17,8 @@ non-identity Galois conjugates, a * adj = N(a) is a nonzero integer over the
 common denominator, so a^-1 = adj / N(a) (Cohen, A Course in Computational
 Algebraic Number Theory, 1993).  A rational value, such as the pivot 1 of
 every canonical point, is fixed by every automorphism and takes adj = 1.
+_adjugate gives (adj, N(a)) to inverse and to the canonical form of
+projective triples, which it turns into primitive integer vectors.
 """
 
 from __future__ import annotations
@@ -70,11 +72,6 @@ def _is_squarefree(n: int) -> bool:
     return all(e == 1 for e in _factorize(abs(n)).values())
 
 
-def _divisors(n: int) -> list:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (coefficient lists, lowest degree first).
 
@@ -109,8 +106,9 @@ def cyclotomic_polynomial(n: int):
         return (-1, 1)
     num = [0] * (n + 1)
     num[0], num[n] = -1, 1
-    for d in _divisors(n)[:-1]:
-        num = _zpoly_div_exact(num, cyclotomic_polynomial(d))
+    for d in range(1, n):
+        if n % d == 0:
+            num = _zpoly_div_exact(num, cyclotomic_polynomial(d))
     return tuple(num)
 
 
@@ -145,7 +143,7 @@ class FieldDescriptor:
             return 1
         if self.kind == QUADRATIC:
             return 2
-        return euler_phi(self.N)
+        return len(cyclotomic_polynomial(self.N)) - 1
 
     # -- element constructors ------------------------------------------------
 
@@ -268,6 +266,19 @@ def _conjugates(field: FieldDescriptor, nums: Sequence[int]) -> tuple:
     return tuple(_galois(field, nums, k) for k in range(2, N) if math.gcd(k, N) == 1)
 
 
+def _adjugate(field: FieldDescriptor, nums: Sequence[int]) -> tuple:
+    """(adj, norm) for an integer coefficient vector a: adj is the product of
+    a's non-identity Galois conjugates, so a * adj = norm, an integer that is
+    zero only for a = 0."""
+    if not any(nums[1:]):  # a rational value is its own conjugate
+        return (1,) + nums[1:], nums[0]
+    images = iter(_conjugates(field, nums))
+    adj = next(images)
+    for image in images:
+        adj = _mul_intvec(field, adj, image)
+    return adj, _mul_intvec(field, nums, adj)[0]
+
+
 class FieldElement:
     """Immutable element of a FieldDescriptor.
 
@@ -352,19 +363,10 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        field, nums, den = self.field, self.nums, self.den
-        if any(nums[1:]):
-            images = iter(_conjugates(field, nums))
-            adj = next(images)
-            for image in images:
-                adj = _mul_intvec(field, adj, image)
-            # the product with every conjugate is the norm, zero only for zero
-            norm = _mul_intvec(field, nums, adj)[0]
-        else:  # a rational value is its own conjugate, so adj = 1 suffices
-            adj, norm = (1,) + nums[1:], nums[0]
+        adj, norm = _adjugate(self.field, self.nums)
         if not norm:
-            raise ZeroDivisionError(f"division by zero in {field}")
-        return FieldElement(field, [den * x for x in adj], norm)
+            raise ZeroDivisionError(f"division by zero in {self.field}")
+        return FieldElement(self.field, [self.den * x for x in adj], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)

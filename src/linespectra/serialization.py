@@ -59,9 +59,9 @@ def field_to_json(field: FieldDescriptor) -> Dict:
 
 def _int_param(data: dict, key: str) -> int:
     value = data[key]
-    if isinstance(value, (bool, float)):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 def field_from_json(data) -> FieldDescriptor:

@@ -1,9 +1,11 @@
 """Command line behavior: manifests, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -313,16 +315,20 @@ def test_unknown_subcommand_is_an_error(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the package this session tests, installed or not
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     path = tmp_path / "c.json"
     proc = subprocess.run(
         [sys.executable, "-m", "linespectra", "generate", "grid",
          "--a", "2", "--b", "2", "--out", str(path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "generate"
     proc = subprocess.run(
         [sys.executable, "-m", "linespectra", "check", str(path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linespectra.constructions import (
@@ -36,6 +36,8 @@ from linespectra.projective import (
 )
 
 Q = rational_field()
+Q2 = quadratic_field(2)
+Z5 = cyclotomic_field(5)
 
 
 def pt(*coords):
@@ -61,6 +63,33 @@ def test_scalar_multiples_are_the_same_point():
     assert hash(pt(2, 4, 6)) == hash(pt(1, 2, 3))
     assert pt(0, -1, -2) == pt(0, 5, 10)
     assert pt(1, 2, 3) != pt(1, 2, 4)
+    # scalars outside Q: the canonical form multiplies by the adjugate of the
+    # first nonzero coordinate, whose norm may be negative
+    for fld in (Q2, quadratic_field(-3), cyclotomic_field(12)):
+        g, one, zero = _gen(fld), fld.one(), fld.zero()
+        triples = [
+            (g, one, zero),
+            (zero, g * 3 - 1, fld.from_rational(Fraction(2, 3))),
+            (one, g, g * g + 1),
+            (g + 1, g - 2, one),
+        ]
+        scalars = [g, -g, g + 1, (g + 1) * (g - 2) / 5]
+        for triple, other in zip(triples, triples[1:]):
+            p, q = ProjectivePoint(triple, fld), ProjectivePoint(other, fld)
+            for s in scalars:
+                sp = ProjectivePoint([s * c for c in triple], fld)
+                sq = ProjectivePoint([s * s * c for c in other], fld)
+                assert sp == p and hash(sp) == hash(p) and sp.coords == p.coords
+                assert sq == q and hash(sq) == hash(q) and sq.coords == q.coords
+                assert line_through(sp, sq) == line_through(p, q)
+                assert line_through(sp, sq).coords == line_through(p, q).coords
+    # 1 + sqrt 2 has norm -1: its adjugate flips the sign, and the canonical
+    # form flips it back so the first nonzero entry is positive
+    g = Q2.sqrt_gen()
+    p = ProjectivePoint((g + 1, Q2.one(), Q2.zero()), Q2)
+    assert p.intvecs == ((1, 0), (-1, 1), (0, 0))
+    assert p.coords == (Q2.one(), g - 1, Q2.zero())
+    assert p == ProjectivePoint((-g - 1, -Q2.one(), Q2.zero()), Q2)
 
 
 def test_zero_triple_rejected():
@@ -204,9 +233,6 @@ def test_large_rational_config_agrees_with_line_dictionary():
 
 # --- the row fold against the oracle ---
 
-Q2 = quadratic_field(2)
-Z5 = cyclotomic_field(5)
-
 
 def _gen(fld):
     # the field's generator; over Q a non-integer rational stands in for it
@@ -311,12 +337,35 @@ def test_permuting_points_permutes_degrees(fld, coords, data):
     unique_by=lambda t: (Fraction(t[0], t[2]), Fraction(t[1], t[2])),
 ))
 def test_embedding_into_extension_fields_keeps_spectrum(coords):
-    # over Q lines are keyed by primitive integer triples, elsewhere by
-    # line_through, whose canonical form divides by field elements
+    # over Q lines are keyed by _primitive_cross on scalar triples,
+    # elsewhere by _canonical on coefficient vectors
     config = Configuration(Q, tuple(pt(*c) for c in coords))
     base = spectrum(config)
     for fld in (Q2, quadratic_field(-3), Z5, cyclotomic_field(12)):
         assert spectrum(_embed(fld, config)) == base
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    fld=st.sampled_from([Q2, Z5]),
+    coords=st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 2)),
+        min_size=2,
+        max_size=10,
+        unique_by=lambda t: (Fraction(t[0], t[2]), Fraction(t[1], t[2])),
+    ),
+    entries=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                     min_size=9, max_size=9),
+)
+def test_projective_maps_with_non_rational_entries_keep_spectrum(fld, coords, entries):
+    # entry a + b g: the images of the embedded rational points, and the
+    # lines through them, have first coordinates outside Q
+    assume(any(b for _, b in entries))
+    g = _gen(fld)
+    matrix = [[g * b + a for a, b in entries[3 * r:3 * r + 3]] for r in range(3)]
+    assume(not matrix_determinant(matrix).is_zero())
+    config = Configuration(Q, tuple(pt(*c) for c in coords))
+    assert spectrum(apply_projective_map(_embed(fld, config), matrix)) == spectrum(config)
 
 
 def test_spectrum_from_lines_rebuilds_spectrum():

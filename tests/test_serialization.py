@@ -63,6 +63,9 @@ def test_field_from_json_rejects_unknown_kind():
     {"kind": "quadratic", "d": 2.9},
     {"kind": "cyclotomic", "N": 12.5},
     {"kind": "cyclotomic", "N": True},
+    {"kind": "quadratic", "d": "2"},
+    {"kind": "quadratic", "d": " 3 "},
+    {"kind": "cyclotomic", "N": "12"},
 ], ids=str)
 def test_field_from_json_rejects_inexact_parameters(data):
     with pytest.raises(SerializationError):
