@@ -136,7 +136,8 @@ class _HomogeneousTriple:
     @property
     def coords(self):
         if self._coords is None:
-            coords = tuple(FieldElement(self.field, *c) for c in self.sort_token())
+            pivot = next(v[0] for v in self.intvecs if any(v))
+            coords = tuple(FieldElement(self.field, v, pivot) for v in self.intvecs)
             object.__setattr__(self, "_coords", coords)
         return self._coords
 
