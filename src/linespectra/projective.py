@@ -65,13 +65,14 @@ def _coerce_triple(coords, field: FieldDescriptor | None):
     pad = (0,) * (field.degree - 1)
     pairs = []
     for c in items:
-        if not isinstance(c, FieldElement):
+        if isinstance(c, FieldElement):
+            pairs.append((c.nums, c.den))
+        else:
             c = Fraction(c)
             pairs.append(((c.numerator,) + pad, c.denominator))
-        else:
-            pairs.append((c.nums, c.den))
-    lcm = math.lcm(*(den for _, den in pairs))
-    return field, tuple(tuple(x * (lcm // den) for x in nums) for nums, den in pairs)
+    lcm = math.lcm(*[den for _, den in pairs])
+    return field, tuple(nums if den == lcm else tuple(x * (lcm // den) for x in nums)
+                        for nums, den in pairs)
 
 
 def _cross(field: FieldDescriptor, u, v) -> tuple:
@@ -101,7 +102,7 @@ def _canonical(field: FieldDescriptor, vecs) -> tuple:
             (norm,) + (0,) * (len(pivot) - 1) if i == k else _mul_intvec(field, v, adj)
             for i, v in enumerate(vecs)
         ]
-    g = math.gcd(*(x for v in vecs for x in v))
+    g = math.gcd(*[x for v in vecs for x in v])
     if vecs[k][0] < 0:
         g = -g
     if g == 1:
@@ -313,11 +314,7 @@ def _keyed_items(config: Configuration):
     fld = config.field
     if fld.kind == RATIONAL:
         return [tuple(v[0] for v in p.intvecs) for p in config.points], _primitive_cross
-
-    def line_key(u, v):
-        return _canonical(fld, _cross(fld, u, v))
-
-    return [p.intvecs for p in config.points], line_key
+    return [p.intvecs for p in config.points], lambda u, v: _canonical(fld, _cross(fld, u, v))
 
 
 def _fold_rows(n: int, rows) -> LineSpectrum:
