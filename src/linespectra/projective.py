@@ -113,9 +113,9 @@ def _canonical(field: FieldDescriptor, vecs) -> tuple:
 class _HomogeneousTriple:
     """A point or line key, identified by its canonical form: the primitive
     integer coefficient vectors `intvecs` of _canonical, over one field.
-    Equality and hashing compare only these vectors.  The field-element
-    coordinates `coords`, scaled so the first nonzero one is 1, are built
-    from them on first read."""
+    Equality compares the vectors and the field, hashing the vectors.  The
+    field-element coordinates `coords`, scaled so the first nonzero one is
+    1, are built from the vectors on first read."""
 
     __slots__ = ("field", "intvecs", "_coords", "_images")
 
