@@ -26,6 +26,8 @@ CLOSED_FORM_CASES = (
     + [("cuspidal_cubic", {"k": k}) for k in range(2, 6)]
     + [("two_lines", {"m": m}) for m in range(2, 11)]
     + [("near_pencil", {"n": n}) for n in range(3, 13)]
+    # the sizes the check-families benchmark workload runs
+    + [("boroczky", {"m": 30}), ("sylvester_cubic", {"k": 20}), ("fermat", {"m": 16})]
 )
 
 

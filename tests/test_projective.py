@@ -17,7 +17,15 @@ from linespectra.constructions import (
     random_config,
     sylvester_cubic,
 )
-from linespectra.fields import cyclotomic_field, quadratic_field, rational_field
+from linespectra import projective
+from linespectra.fields import (
+    QUADRATIC,
+    _is_prime,
+    _nth_root_mod,
+    cyclotomic_field,
+    quadratic_field,
+    rational_field,
+)
 from linespectra.projective import (
     Configuration,
     DuplicatePointError,
@@ -287,6 +295,7 @@ ORACLE_CASES = {
     "Q2-all-collinear": lambda: _all_collinear(Q2, 6),
     "Q2-near-pencil": lambda: _near_pencil(Q2, 7),
     "Q2-moved-grid": lambda: _moved_grid(Q2, 3, 4),
+    "Q2-embedded-grid": lambda: _embed(Q2, grid(4, 5)),
     "Z5-two-points": lambda: _two_points(Z5),
     "Z5-all-collinear": lambda: _all_collinear(Z5, 5),
     "Z5-near-pencil": lambda: _near_pencil(Z5, 6),
@@ -301,6 +310,49 @@ ORACLE_CASES = {
 def test_spectrum_matches_oracle_lines(name):
     config = ORACLE_CASES[name]()
     assert spectrum(config) == spectrum_from_lines(config.n, oracle_spanned_lines(config))
+
+
+def _tiny_screen(fld):
+    # the smallest screen each non-rational oracle field admits
+    if fld.kind == QUADRATIC:
+        assert fld.d == 2
+        return 7, (1, 3)  # 3 * 3 = 2 (mod 7)
+    N = fld.N
+    p = next(p for p in itertools.count(N + 1, N) if _is_prime(p) and _nth_root_mod(N, p))
+    root = _nth_root_mod(N, p)
+    return p, tuple(pow(root, k, p) for k in range(fld.degree))
+
+
+def test_spectrum_over_tiny_screen_matches_oracle_lines(monkeypatch):
+    # with p in 5..17 the fallback rows that no benchmark input reaches run:
+    # the moved grids have pairs with a zero image, and the embedded grid has
+    # rows with more lines than the 8 through a point of P^2(GF(7))
+    exact_keys, failed_groups = 0, 0
+    canonical, on_line = projective._canonical, projective._on_line
+
+    def counting_canonical(*args):
+        nonlocal exact_keys
+        exact_keys += 1
+        return canonical(*args)
+
+    def counting_on_line(*args):
+        nonlocal failed_groups
+        result = on_line(*args)
+        failed_groups += not result
+        return result
+
+    monkeypatch.setattr(projective, "_screen", _tiny_screen)
+    for name in sorted(ORACLE_CASES):
+        if name.startswith("Q-"):
+            continue
+        config = ORACLE_CASES[name]()
+        expected = spectrum_from_lines(config.n, oracle_spanned_lines(config))
+        with monkeypatch.context() as m:
+            m.setattr(projective, "_canonical", counting_canonical)
+            m.setattr(projective, "_on_line", counting_on_line)
+            assert spectrum(config) == expected, name
+    assert exact_keys > 0
+    assert failed_groups > 0
 
 
 @settings(deadline=None, max_examples=40)
@@ -338,7 +390,7 @@ def test_permuting_points_permutes_degrees(fld, coords, data):
 ))
 def test_embedding_into_extension_fields_keeps_spectrum(coords):
     # over Q lines are keyed by _primitive_cross on scalar triples,
-    # elsewhere by _canonical on coefficient vectors
+    # elsewhere mod p and certified on coefficient vectors
     config = Configuration(Q, tuple(pt(*c) for c in coords))
     base = spectrum(config)
     for fld in (Q2, quadratic_field(-3), Z5, cyclotomic_field(12)):
