@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 from .constructions import GENERATORS, expected_spectrum
 from .inequalities import exit_code_for, run_checks, violations
 from .projective import InternalError, spectrum
-from .render import render_svg
+from .render import _render
 from .search import exhaustive_search, local_search
 from .serialization import (
     config_to_json,
@@ -252,13 +252,9 @@ def _cmd_render(args) -> int:
     if not args.out:
         raise CliError("render requires --out for the SVG file")
     config = load_configuration(args.input)
-    svg = render_svg(config)
+    svg, points, lines = _render(config)
     Path(args.out).write_text(svg)
-    result = {
-        "path": args.out,
-        "points": svg.count("<circle"),
-        "lines": svg.count("<line"),
-    }
+    result = {"path": args.out, "points": points, "lines": lines}
     sys.stdout.write(_manifest("render", {"input": args.input}, result))
     return 0
 

@@ -9,18 +9,23 @@ field elements are built only when `coords` is read.  line_through is the
 canonical form of a cross product; collinear is the exact vanishing of
 p . (q x r) (_on_line) behind a GF(p) screen.
 
-Every spanned-line count comes from one kernel, _row_groups: for each point
-i it groups the later points j > i by a key of the line through i and j.
-spanned_lines keys every row by the exact canonical form (over Q,
-_primitive_cross on scalar triples), keeps each line from the row of its
-smallest member and wraps only those in LineKeys.  spectrum keeps that key
-over Q; over Q(sqrt d) and Q(zeta_N) it keys each row by the line's image in
-P^2(GF(p)), certifies every group of two or more points with _on_line, and
-rebuilds a row with the exact key if any pair in it has a zero image or a
-group fails (_screened_rows).  It then folds the rows into line counts and
-degrees.  oracle_spanned_lines is the deliberately naive cross-check that
-retests membership of every other point with collinear() and must agree
-everywhere.
+Every spanned-line count comes from one kernel, _screened_rows: for each
+point i it keys the later points j > i by the line through i and j, in one
+pass per row.  Over Q the key is the line's slope in the affine chart of
+point i, a correctly rounded float (_slope_screen); over Q(sqrt d) and
+Q(zeta_N) it is the line's image in P^2(GF(p)) (_image_screen).  Either is
+only a hash key: a row whose keys are all distinct holds only 2-point
+lines, which is exact, and every key that repeats is certified with an
+exact incidence test before it counts.  A row with a failed certificate, or
+one the screen cannot key (over Q, a row point with z = 0 or a slope too
+large for a double; elsewhere, a vanishing image mod p), is keyed again by
+the exact canonical form (over Q, _primitive_cross on scalar triples).  No
+float reaches a count.
+_fold_rows turns the rows into line counts and degrees, for spectrum and
+for search.  spanned_lines keys every pair by the exact form, keeps each
+line's members and wraps the lines in LineKeys.  oracle_spanned_lines is
+the deliberately naive cross-check that retests membership of every other
+point with collinear() and must agree everywhere.
 """
 
 from __future__ import annotations
@@ -280,6 +285,17 @@ class LineSpectrum:
 # ---------------------------------------------------------------------------
 # Spanned lines.
 
+def _scalar_cross(u, v):
+    """_cross in degree 1: the cross product of two scalar triples."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _on_scalar_line(point, line) -> bool:
+    """_on_line in degree 1: exact incidence of two scalar triples."""
+    return point[0] * line[0] + point[1] * line[1] + point[2] * line[2] == 0
+
+
 def _primitive_cross(u, v):
     a = u[1] * v[2] - u[2] * v[1]
     b = u[2] * v[0] - u[0] * v[2]
@@ -294,61 +310,45 @@ def _primitive_cross(u, v):
     return a, b, c
 
 
-def _row_groups(items, line_key, rows=None):
-    """The one pair-grouping kernel.  For each index i in rows (default: all
-    but the last), yields (i, row) where row maps the key of each line
-    through items[i] and a later item to the ascending indices j > i of the
-    items on it.  `line_key(u, v)` must name the line through u and v
-    canonically.  Each row's dict is dropped once the consumer moves on, so
-    memory stays O(n)."""
-    n = len(items)
-    for i in range(n - 1) if rows is None else rows:
-        u = items[i]
-        row: Dict = {}
-        for j in range(i + 1, n):
-            key = line_key(u, items[j])
-            group = row.get(key)
-            if group is None:
-                row[key] = [j]
-            else:
-                group.append(j)
-        yield i, row
+def _slope_screen(items):
+    """The row screen over Q, on scalar triples: (row_keys, cross, on_line).
+
+    row_keys(i) keys each later point v = (x, y, z) by the slope, in the
+    affine chart of u = items[i] = (a, b, c), of the line through u and v:
+    the correctly rounded (y c - b z) / (x c - a z), or math.inf for a
+    vertical line.  Equal rationals round to equal doubles, and -0.0 ==
+    0.0, so an exact line never splits; distinct slopes may still round to
+    one double.  A finite slope never becomes inf, since an int/int
+    division too large for a double raises OverflowError.  A row with c = 0
+    or such an overflow gets None: it takes the exact key."""
+
+    def row_keys(i):
+        a, b, c = items[i]
+        if not c:
+            return None
+        try:
+            return [(y * c - b * z) / d if (d := x * c - a * z) else math.inf
+                    for x, y, z in items[i + 1:]]
+        except OverflowError:
+            return None
+
+    return row_keys, _scalar_cross, _on_scalar_line
 
 
-def _keyed_items(config: Configuration):
-    """Exact kernel input for a configuration: the points' canonical integer
-    vectors, keyed by the canonical form of their cross product.  Over Q the
-    vectors are flattened to scalar triples keyed by _primitive_cross, which
-    is _canonical in degree 1 written out on ints: on random_config(1200) the
-    kernel takes 1.3 s on scalar triples against 10.4 s on triples of
-    1-tuples (Python 3.11, one core of a 2-vCPU Xeon VM).  spanned_lines
-    keys every row by it; spectrum over Q(sqrt d) and Q(zeta_N) keys rows
-    mod p instead and falls back to this key (_screened_rows)."""
-    fld = config.field
-    if fld.kind == RATIONAL:
-        return [tuple(v[0] for v in p.intvecs) for p in config.points], _primitive_cross
-    return [p.intvecs for p in config.points], lambda u, v: _canonical(fld, _cross(fld, u, v))
+def _image_screen(config: Configuration):
+    """The row screen over Q(sqrt d) or Q(zeta_N): (row_keys, cross, on_line).
 
-
-def _screened_rows(config: Configuration):
-    """The kernel's rows over Q(sqrt d) or Q(zeta_N), grouped mod p and
-    certified exactly.
-
-    Each pair (i, j) is keyed by the cross product of the points' GF(p)
-    images, scaled so its first nonzero coordinate is 1, or None when that
-    product vanishes.  The screen is a ring homomorphism, so points on one
-    exact line through point i never get two different non-None keys.  A
-    group of two or more is kept only if every member lies on the exact
-    line through i and its first member (_on_line), which catches any two
-    lines that collide mod p.  A row with a None key or a failed group is
-    rebuilt with the exact key of _keyed_items.  So every row yielded is
-    the exact row, up to the names of its keys.  One pow per pair replaces
+    row_keys(i) keys each later point by the cross product of the two
+    points' GF(p) images, scaled so its first nonzero coordinate is 1.  The
+    screen is a ring homomorphism, so the points of one exact line through
+    point i never get two different keys.  A row in which some product
+    vanishes gets None: it takes the exact key.  One pow per pair replaces
     the phi(N) - 1 conjugate products of _canonical: spectrum of
     sylvester_cubic(20) takes 0.06 s against 3.8 s with the exact key
     (Python 3.11, one core of a 2-vCPU Xeon VM)."""
     fld = config.field
     prime, _ = _screen(fld)
-    items, exact_key = _keyed_items(config)
+    images = [p.images for p in config.points]
 
     def screen_key(a, b):
         x = (a[1] * b[2] - a[2] * b[1]) % prime
@@ -361,37 +361,112 @@ def _screened_rows(config: Configuration):
             return 0, 1, z * pow(y, -1, prime) % prime
         return (0, 0, 1) if z else None
 
-    def certified(i, group):
-        line = _cross(fld, items[i], items[group[0]])
-        return all(_on_line(fld, items[j], line) for j in group[1:])
+    def row_keys(i):
+        u = images[i]
+        keys = [screen_key(u, v) for v in images[i + 1:]]
+        return None if None in keys else keys
 
-    for i, row in _row_groups([p.images for p in config.points], screen_key):
-        if None in row or not all(certified(i, g) for g in row.values() if len(g) > 1):
-            _, row = next(_row_groups(items, exact_key, (i,)))
-        yield i, row
+    return (row_keys, lambda u, v: _cross(fld, u, v),
+            lambda point, line: _on_line(fld, point, line))
+
+
+def _keyed_items(config: Configuration):
+    """Kernel input for a configuration: the points' canonical integer
+    vectors, the exact line key (the canonical form of their cross
+    product) and the row screen for _screened_rows.  Over Q the vectors
+    are flattened to scalar triples, keyed exactly by _primitive_cross
+    (_canonical in degree 1 written out on ints) and screened by slope
+    (_slope_screen): on random_config(1200) exact grouping takes 1.3 s on
+    scalar triples against 10.4 s on triples of 1-tuples (Python 3.11, one
+    core of a 2-vCPU Xeon VM).  Elsewhere rows are screened mod p
+    (_image_screen).  spanned_lines keys every pair by the exact key;
+    spectrum keys rows by the screen and falls back to the exact key."""
+    fld = config.field
+    if fld.kind == RATIONAL:
+        items = [tuple(v[0] for v in p.intvecs) for p in config.points]
+        return items, _primitive_cross, _slope_screen(items)
+    items = [p.intvecs for p in config.points]
+    return items, lambda u, v: _canonical(fld, _cross(fld, u, v)), _image_screen(config)
+
+
+def _counted_row(i, keys):
+    """The number of distinct keys in a row and the ascending members j > i
+    of each repeated key, for keys[j - i - 1] the key of the pair (i, j).
+    A row whose keys are all distinct, as set() counts them, holds only
+    2-point lines: it collects no members."""
+    distinct = len(set(keys))
+    if distinct == len(keys):
+        return distinct, []
+    groups: Dict = {}
+    for j, key in enumerate(keys, i + 1):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [j]
+        else:
+            group.append(j)
+    return distinct, [group for group in groups.values() if len(group) > 1]
+
+
+def _screened_rows(items, exact_key, screen):
+    """The one pair-grouping kernel.  For each index i but the last it
+    yields (i, distinct, groups): the number of lines through items[i] and
+    a later item, and the ascending indices j > i of the later items on
+    each such line that holds two or more of them.
+
+    The row is keyed by `screen` = (row_keys, cross, on_line).  The screened
+    key is only a hash key: every repeated key is certified before it
+    counts, each further member lying exactly on the line through items[i]
+    and the group's first member.  A key that repeats by collision fails
+    there, and the row is keyed again with exact_key, as is a row the
+    screen gives None.  A key that does not repeat needs no certificate,
+    since the screen never splits an exact line.  So every row yielded is
+    the exact row.  Each row's keys are dropped once the consumer moves on,
+    so memory stays O(n)."""
+    row_keys, cross, on_line = screen
+
+    def certified(u, group):
+        line = cross(u, items[group[0]])
+        return all(on_line(items[j], line) for j in group[1:])
+
+    for i in range(len(items) - 1):
+        u = items[i]
+        keys = row_keys(i)
+        if keys is not None:
+            distinct, groups = _counted_row(i, keys)
+            if groups and not all(certified(u, group) for group in groups):
+                keys = None
+        if keys is None:
+            distinct, groups = _counted_row(i, [exact_key(u, v) for v in items[i + 1:]])
+        yield i, distinct, groups
 
 
 def _fold_rows(n: int, rows) -> LineSpectrum:
     """Spectrum and degrees of n >= 2 points from the kernel's rows.
 
     A line with members m1 < ... < mk shows up in row m_t as a group of the
-    k - t points after m_t, so it leaves one group of each size 1 .. k-1.
-    With G[s] the number of groups of size s, G[s] counts the lines with
-    more than s members, hence l_k = G[k-1] - G[k].  The line's only
-    singleton group is {mk}, in row m_(k-1); every other member m_t meets
-    it as one group of its own row.  So deg(i) = (groups in row i) +
-    (singleton groups equal to {i})."""
-    group_sizes: Dict[int, int] = {}
-    degrees = [0] * n
-    for i, row in rows:
-        degrees[i] += len(row)
-        for group in row.values():
+    k - t points after m_t, so it leaves one group of each size 1 .. k-1;
+    a row's groups of size 1 are its lines less its listed groups.  With
+    G[s] the number of groups of size s, G[s] counts the lines with more
+    than s members, hence l_k = G[k-1] - G[k].
+
+    Point j lies on the lines of row j and on the lines it ends.  The lines
+    through j and an earlier point cover the j pairs (i, j), i < j, one
+    with t members below j covering t of them; j shares a listed group in
+    the rows of all t of them if the line goes on past j, of t - 1 if j
+    ends it.  So deg(j) = (lines in row j) + j - (rows i < j in which j is
+    in a listed group)."""
+    group_sizes = {1: 0}
+    degrees = list(range(n))
+    for i, distinct, groups in rows:
+        degrees[i] += distinct
+        group_sizes[1] += distinct - len(groups)
+        for group in groups:
             size = len(group)
             group_sizes[size] = group_sizes.get(size, 0) + 1
-            if size == 1:
-                degrees[group[0]] += 1
+            for j in group:
+                degrees[j] -= 1
     ell: Dict[int, int] = {}
-    for k in range(2, max(group_sizes, default=0) + 2):
+    for k in range(2, max(group_sizes) + 2):
         count = group_sizes.get(k - 1, 0) - group_sizes.get(k, 0)
         if count < 0:
             raise InternalError(f"line grouping is inconsistent: l_{k} = {count}")
@@ -399,23 +474,30 @@ def _fold_rows(n: int, rows) -> LineSpectrum:
             ell[k] = count
     if sum(k * (k - 1) // 2 * c for k, c in ell.items()) != n * (n - 1) // 2:
         raise InternalError("line grouping does not cover every point pair once")
-    return _spectrum_of(n, ell, degrees)
+    spec = _spectrum_of(n, ell, degrees)
+    if sum(degrees) != spec.incidences:
+        raise InternalError("line grouping gives degrees that do not sum to the incidences")
+    return spec
 
 
 def spanned_lines(config: Configuration):
     """Map each spanned line's canonical key to the frozenset of indices of
     the configuration points on it."""
-    items, line_key = _keyed_items(config)
-    found = {}
-    # a key's first row is the row of the line's smallest member
-    for i, row in _row_groups(items, line_key):
-        for key, group in row.items():
-            if key not in found:
-                found[key] = frozenset([i, *group])
+    items, line_key, _ = _keyed_items(config)
+    found: Dict = {}
+    for i, u in enumerate(items):
+        for j in range(i + 1, len(items)):
+            key = line_key(u, items[j])
+            members = found.get(key)
+            if members is None:
+                found[key] = {i, j}
+            else:
+                members.add(j)
     fld = config.field
     scalar = fld.kind == RATIONAL
     lines = (
-        (LineKey._of_canonical(fld, tuple((x,) for x in key) if scalar else key), members)
+        (LineKey._of_canonical(fld, tuple((x,) for x in key) if scalar else key),
+         frozenset(members))
         for key, members in found.items()
     )
     return dict(sorted(lines, key=lambda kv: kv[0].sort_token()))
@@ -474,9 +556,7 @@ def spectrum(config: Configuration) -> LineSpectrum:
     n = config.n
     if n < 2:
         return spectrum_from_lines(n, {})
-    if config.field.kind == RATIONAL:
-        return _fold_rows(n, _row_groups(*_keyed_items(config)))
-    return _fold_rows(n, _screened_rows(config))
+    return _fold_rows(n, _screened_rows(*_keyed_items(config)))
 
 
 # ---------------------------------------------------------------------------

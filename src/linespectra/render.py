@@ -104,6 +104,13 @@ def render_svg(config: Configuration, size: int = 800,
                margin: float = 0.1) -> str:
     """SVG document showing every point and every spanned line, lines
     clipped to the point bounding box plus a margin fraction per side."""
+    return _render(config, size, margin)[0]
+
+
+def _render(config: Configuration, size: int = 800,
+            margin: float = 0.1) -> Tuple[str, int, int]:
+    """render_svg's document with the number of points and of lines it
+    draws (a line that misses the box is not drawn)."""
     if not config.is_real():
         raise RenderError(
             "cannot draw a configuration with non-real coordinates")
@@ -124,6 +131,7 @@ def render_svg(config: Configuration, size: int = 800,
         return (offx + (x - box[0]) * scale,
                 size - (offy + (y - box[1]) * scale))
 
+    lines = 0
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
         f'height="{size}" viewBox="0 0 {size} {size}">',
@@ -134,6 +142,7 @@ def render_svg(config: Configuration, size: int = 800,
         seg = _clip_infinite_line(coords[idx[0]], coords[idx[1]], box)
         if seg is None:
             continue
+        lines += 1
         x1, y1 = to_px(seg[0], seg[1])
         x2, y2 = to_px(seg[2], seg[3])
         parts.append(
@@ -144,4 +153,4 @@ def render_svg(config: Configuration, size: int = 800,
         parts.append(
             f'<circle cx="{px:.3f}" cy="{py:.3f}" r="4" fill="#b3202c"/>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return "\n".join(parts) + "\n", len(coords), lines

@@ -24,7 +24,8 @@ from .projective import (
     ProjectivePoint,
     _fold_rows,
     _primitive_cross,
-    _row_groups,
+    _screened_rows,
+    _slope_screen,
 )
 
 OBJECTIVES = ("incidences", "lines")
@@ -53,8 +54,8 @@ class SearchRecord:
 def _int_stats(pts: Sequence[Tuple[int, int]]) -> Tuple[int, int, int]:
     """(total_lines, incidences, max_collinear) for distinct integer points,
     folded from the spectrum's row kernel over their (x, y, 1) triples."""
-    rows = _row_groups([(x, y, 1) for x, y in pts], _primitive_cross)
-    s = _fold_rows(len(pts), rows)
+    items = [(x, y, 1) for x, y in pts]
+    s = _fold_rows(len(items), _screened_rows(items, _primitive_cross, _slope_screen(items)))
     return s.total_lines, s.incidences, s.max_collinear
 
 

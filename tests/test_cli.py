@@ -223,14 +223,18 @@ def test_check_exit_two_on_violated_proof(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("rows", [
+    # (i, lines in row i, listed groups of two or more later points):
     # every pair once, but one group of three and none of two: l_3 = -1
-    [(0, {"a": [1, 2, 3]}), (1, {"b": [2], "c": [3]}), (2, {"d": [3]})],
+    [(0, 1, [[1, 2, 3]]), (1, 2, []), (2, 1, [])],
     # l_2 = 1 is consistent, but 5 of the 6 point pairs are missing
-    [(0, {"a": [1]})],
+    [(0, 1, [])],
+    # l_2 = 6 covers every pair, but row 2 lists a lone point as a group,
+    # so the degrees sum to 11, not 12
+    [(0, 3, []), (1, 2, []), (2, 1, [[3]])],
 ])
 def test_broken_line_grouping_exits_three(tmp_path, capsys, monkeypatch, rows):
     path = gen(tmp_path, capsys, "grid", "--a", "2", "--b", "2")
-    monkeypatch.setattr(projective_mod, "_row_groups", lambda *a: iter(rows))
+    monkeypatch.setattr(projective_mod, "_screened_rows", lambda *a: iter(rows))
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 3
     assert out == ""
@@ -285,7 +289,9 @@ def test_render_writes_svg(tmp_path, capsys):
     assert code == 0
     manifest = json.loads(out)
     assert manifest["result"] == {"path": str(dest), "points": 8, "lines": 11}
-    assert dest.read_text().startswith("<svg ")
+    svg = dest.read_text()
+    assert svg.startswith("<svg ")
+    assert (svg.count("<circle"), svg.count("<line")) == (8, 11)
 
 
 def test_render_requires_out(tmp_path, capsys):

@@ -285,12 +285,28 @@ def _moved_grid(fld, a, b):
     return apply_projective_map(embedded, [[g, 1, 0], [0, g, 1], [1, 0, g + 2]])
 
 
+def _at_infinity():
+    # a grid with the points at infinity of its rows, columns and diagonals,
+    # and a point whose slope from (0, 0, 1) is too large for a double
+    return Configuration(Q, grid(3, 3).points + tuple(pt(*t) for t in (
+        (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (3, 1, 0), (1, 2**1100, 1))))
+
+
+def _double_collision():
+    # affine rows see the 40 points at infinity at slopes 2**55 + k, which
+    # round to a few doubles: distinct exact lines share a key
+    return cfg(*[(2**60 + k, 2**60 + k + k * k % 7, 1) for k in range(40)],
+               *[(1, 2**55 + k, 0) for k in range(40)])
+
+
 ORACLE_CASES = {
     "Q-two-points": lambda: cfg((0, 0, 1), (1, 1, 1)),
     "Q-all-collinear": lambda: cfg(*((t, 2 * t - 1, 1) for t in range(7))),
     "Q-near-pencil": lambda: near_pencil(9),
     "Q-grid": lambda: grid(4, 5),
     "Q-random": lambda: random_config(30, seed=5),
+    "Q-at-infinity": _at_infinity,
+    "Q-double-collision": _double_collision,
     "Q2-two-points": lambda: _two_points(Q2),
     "Q2-all-collinear": lambda: _all_collinear(Q2, 6),
     "Q2-near-pencil": lambda: _near_pencil(Q2, 7),
@@ -323,36 +339,50 @@ def _tiny_screen(fld):
     return p, tuple(pow(root, k, p) for k in range(fld.degree))
 
 
+def _assert_oracle_with_fallbacks(monkeypatch, names, exact_key, on_line):
+    # spectrum agrees with the oracle on every named case, and over all of
+    # them the exact key `exact_key` runs and the check `on_line` fails at
+    # least once
+    exact_keys, failed_groups = 0, 0
+    exact, check = getattr(projective, exact_key), getattr(projective, on_line)
+
+    def counting_exact(*args):
+        nonlocal exact_keys
+        exact_keys += 1
+        return exact(*args)
+
+    def counting_check(*args):
+        nonlocal failed_groups
+        result = check(*args)
+        failed_groups += not result
+        return result
+
+    for name in names:
+        config = ORACLE_CASES[name]()
+        expected = spectrum_from_lines(config.n, oracle_spanned_lines(config))
+        with monkeypatch.context() as m:
+            m.setattr(projective, exact_key, counting_exact)
+            m.setattr(projective, on_line, counting_check)
+            assert spectrum(config) == expected, name
+    assert exact_keys > 0
+    assert failed_groups > 0
+
+
 def test_spectrum_over_tiny_screen_matches_oracle_lines(monkeypatch):
     # with p in 5..17 the fallback rows that no benchmark input reaches run:
     # the moved grids have pairs with a zero image, and the embedded grid has
     # rows with more lines than the 8 through a point of P^2(GF(7))
-    exact_keys, failed_groups = 0, 0
-    canonical, on_line = projective._canonical, projective._on_line
-
-    def counting_canonical(*args):
-        nonlocal exact_keys
-        exact_keys += 1
-        return canonical(*args)
-
-    def counting_on_line(*args):
-        nonlocal failed_groups
-        result = on_line(*args)
-        failed_groups += not result
-        return result
-
     monkeypatch.setattr(projective, "_screen", _tiny_screen)
-    for name in sorted(ORACLE_CASES):
-        if name.startswith("Q-"):
-            continue
-        config = ORACLE_CASES[name]()
-        expected = spectrum_from_lines(config.n, oracle_spanned_lines(config))
-        with monkeypatch.context() as m:
-            m.setattr(projective, "_canonical", counting_canonical)
-            m.setattr(projective, "_on_line", counting_on_line)
-            assert spectrum(config) == expected, name
-    assert exact_keys > 0
-    assert failed_groups > 0
+    names = [name for name in sorted(ORACLE_CASES) if not name.startswith("Q-")]
+    _assert_oracle_with_fallbacks(monkeypatch, names, "_canonical", "_on_line")
+
+
+def test_spectrum_over_q_slope_screen_matches_oracle_lines(monkeypatch):
+    # rows of points at infinity and of a slope too large for a double take
+    # the exact key, and slopes 2**55 + k that round to one double fail
+    # certification
+    names = [name for name in sorted(ORACLE_CASES) if name.startswith("Q-")]
+    _assert_oracle_with_fallbacks(monkeypatch, names, "_primitive_cross", "_on_scalar_line")
 
 
 @settings(deadline=None, max_examples=40)
@@ -381,16 +411,20 @@ def test_permuting_points_permutes_degrees(fld, coords, data):
     assert moved.degrees == tuple(base.degrees[k] for k in perm)
 
 
+_COORD = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(lambda k: k + 2**53))
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.lists(
-    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 2)),
+    st.tuples(_COORD, _COORD, st.integers(0, 2)).filter(any),
     min_size=2,
     max_size=10,
-    unique_by=lambda t: (Fraction(t[0], t[2]), Fraction(t[1], t[2])),
+    unique_by=lambda t: pt(*t),
 ))
 def test_embedding_into_extension_fields_keeps_spectrum(coords):
-    # over Q lines are keyed by _primitive_cross on scalar triples,
-    # elsewhere mod p and certified on coefficient vectors
+    # over Q rows are keyed by float slopes, elsewhere mod p; z = 0 points
+    # and coordinates above 2**53, where slopes collide as doubles, send Q
+    # rows to the exact key
     config = Configuration(Q, tuple(pt(*c) for c in coords))
     base = spectrum(config)
     for fld in (Q2, quadratic_field(-3), Z5, cyclotomic_field(12)):
