@@ -145,6 +145,11 @@ class FieldDescriptor:
             return 2
         return len(cyclotomic_polynomial(self.N)) - 1
 
+    def is_real(self) -> bool:
+        """True iff every element is real under the standard embedding: Q
+        (also as Q(zeta_1) and Q(zeta_2)) and Q(sqrt d) with d > 0."""
+        return self.degree == 1 or (self.kind == QUADRATIC and self.d > 0)
+
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs: Sequence[Rationalish]) -> "FieldElement":
@@ -415,10 +420,8 @@ class FieldElement:
 
     def is_real(self) -> bool:
         """True iff the element is fixed by complex conjugation under the
-        standard embedding (real quadratic fields are pointwise real)."""
-        if self.field.kind == QUADRATIC and self.field.d > 0:
-            return True
-        return self.conjugate() == self
+        standard embedding; every element of a real field is."""
+        return self.field.is_real() or self.conjugate() == self
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):

@@ -34,6 +34,7 @@ import math
 import operator
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, FrozenSet
 
 from .fields import (
@@ -264,6 +265,10 @@ class Configuration:
         return len(self.points)
 
     def is_real(self) -> bool:
+        """True iff every coordinate is real.  A field with only real
+        elements answers without reading a coordinate."""
+        if self.field.is_real():
+            return True
         return all(c.is_real() for p in self.points for c in p.coords)
 
 
@@ -310,29 +315,67 @@ def _primitive_cross(u, v):
     return a, b, c
 
 
+# Affine slope keys are exact below this bound on |x| and |y|: see _slope_screen.
+_AFFINE_LIMIT = 2 ** 52
+
+
+def _affine_slopes(points, i):
+    """The keys of row i over affine points (X, Y), ints or integral floats:
+    the slope (Y_j - Y_i) / (X_j - X_i) to each later point j, or math.inf
+    for a vertical line.  None if a slope is too large for a double."""
+    x0, y0 = points[i]
+    try:
+        return [(y - y0) / d if (d := x - x0) else math.inf for x, y in points[i + 1:]]
+    except OverflowError:
+        return None
+
+
+def _projective_slopes(items, i):
+    """The keys of row i over scalar triples: the slope, in the affine chart
+    of u = items[i] = (a, b, c), of the line through u and each later point
+    v = (x, y, z), (y c - b z) / (x c - a z), or math.inf for a vertical
+    line.  None if c = 0 or a slope is too large for a double."""
+    a, b, c = items[i]
+    if not c:
+        return None
+    try:
+        return [(y * c - b * z) / d if (d := x * c - a * z) else math.inf
+                for x, y, z in items[i + 1:]]
+    except OverflowError:
+        return None
+
+
+def _affine_screen(points):
+    """The row screen (row_keys, cross, on_line) of scalar triples whose
+    affine points are `points`, keyed by _affine_slopes."""
+    return partial(_affine_slopes, points), _scalar_cross, _on_scalar_line
+
+
 def _slope_screen(items):
     """The row screen over Q, on scalar triples: (row_keys, cross, on_line).
 
-    row_keys(i) keys each later point v = (x, y, z) by the slope, in the
-    affine chart of u = items[i] = (a, b, c), of the line through u and v:
-    the correctly rounded (y c - b z) / (x c - a z), or math.inf for a
-    vertical line.  Equal rationals round to equal doubles, and -0.0 ==
-    0.0, so an exact line never splits; distinct slopes may still round to
-    one double.  A finite slope never becomes inf, since an int/int
-    division too large for a double raises OverflowError.  A row with c = 0
-    or such an overflow gets None: it takes the exact key."""
+    A row's keys are the slopes of the lines through its point and each
+    later point, correctly rounded to doubles.  Equal rationals round to
+    equal doubles, and -0.0 == 0.0, so an exact line never splits; distinct
+    slopes may still round to one double.  A finite slope never becomes
+    inf, since an int/int division too large for a double raises
+    OverflowError.
 
-    def row_keys(i):
-        a, b, c = items[i]
-        if not c:
-            return None
-        try:
-            return [(y * c - b * z) / d if (d := x * c - a * z) else math.inf
-                    for x, y, z in items[i + 1:]]
-        except OverflowError:
-            return None
-
-    return row_keys, _scalar_cross, _on_scalar_line
+    When every triple has z = +-1 and |x|, |y| < 2**52, the rows are keyed
+    on affine points (X, Y) = (x z, y z), built once as floats
+    (_affine_slopes).  Those floats are exact, and so are their differences,
+    which stay below 2**53 in magnitude; IEEE division rounds correctly.  So
+    each key is the same double as the projective formula's, at a float
+    subtraction and division per pair instead of four products and an
+    int/int division.  At 2**52 a difference may reach 2**53 and round.
+    Any other input, with a point at infinity, a fractional coordinate or
+    one of 2**52 or more, keeps the projective formula (_projective_slopes),
+    and its rows through a point with z = 0 or with a slope too large for a
+    double get None: they take the exact key."""
+    if all(z in (1, -1) and abs(x) < _AFFINE_LIMIT and abs(y) < _AFFINE_LIMIT
+           for x, y, z in items):
+        return _affine_screen([(float(x * z), float(y * z)) for x, y, z in items])
+    return partial(_projective_slopes, items), _scalar_cross, _on_scalar_line
 
 
 def _image_screen(config: Configuration):
@@ -393,18 +436,22 @@ def _counted_row(i, keys):
     """The number of distinct keys in a row and the ascending members j > i
     of each repeated key, for keys[j - i - 1] the key of the pair (i, j).
     A row whose keys are all distinct, as set() counts them, holds only
-    2-point lines: it collects no members."""
+    2-point lines: it collects no members.  Otherwise one pass records each
+    key's first index and starts a group only when that key repeats."""
     distinct = len(set(keys))
     if distinct == len(keys):
         return distinct, []
+    first: Dict = {}
     groups: Dict = {}
     for j, key in enumerate(keys, i + 1):
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [j]
-        else:
-            group.append(j)
-    return distinct, [group for group in groups.values() if len(group) > 1]
+        k = first.setdefault(key, j)
+        if k != j:
+            group = groups.get(k)
+            if group is None:
+                groups[k] = [k, j]
+            else:
+                group.append(j)
+    return distinct, list(groups.values())
 
 
 def _screened_rows(items, exact_key, screen):

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from .fields import (
@@ -125,13 +126,14 @@ def config_from_json(data) -> Configuration:
     raw_points = data["points"]
     if not isinstance(raw_points, list) or not raw_points:
         raise SerializationError("points must be a non-empty array")
+    # over Q the parsed Fractions go straight into the points
+    parse = parse_frac if field.kind == "rational" else partial(element_from_json, field)
     points = []
     for idx, triple in enumerate(raw_points):
         if not isinstance(triple, list) or len(triple) != 3:
             raise SerializationError(
                 f"point {idx} must be an array of 3 coordinates")
-        coords = tuple(element_from_json(field, c) for c in triple)
-        points.append(ProjectivePoint(coords, field))
+        points.append(ProjectivePoint([parse(c) for c in triple], field))
     return Configuration(field, tuple(points), label)
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: manifests, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,8 +13,9 @@ import pytest
 import linespectra.cli as cli_mod
 import linespectra.projective as projective_mod
 from linespectra.cli import main
+from linespectra.constructions import grid, random_config
 from linespectra.inequalities import InequalityReport
-from linespectra.serialization import load_configuration
+from linespectra.serialization import load_configuration, save_configuration
 
 
 def run(capsys, *argv):
@@ -128,6 +130,27 @@ def test_analyze_threads_do_not_change_bytes(tmp_path, capsys):
     assert run(capsys, "analyze", str(path), "--threads", "4",
                "--out", str(four))[0] == 0
     assert one.read_bytes() == four.read_bytes()
+
+
+# sha256 of the stdout of `command stem.json`, run from the input's
+# directory.  A change that only makes the program faster keeps these bytes;
+# one that changes them on purpose records the new digests.
+PINNED_STDOUT = {
+    ("analyze", "random300"): "d5843410d45ed4604e6961f0d69c72ec544ed2cc65b98a196aea723eb9da45dc",
+    ("analyze", "grid6"): "9e2aaead56831697f664ff5ccf055a3851b72d9480f56479af5b54cf41a91ef8",
+    ("check", "random300"): "71f43bc7173cb35b72d3801808d109cb26e7c38695a62190a86e1b3ca70a2610",
+    ("check", "grid6"): "118c828f737b48f02cb249069c46fbd8ce9d0fbe98fce8de8281e60c3a85ab5a",
+}
+PINNED_INPUTS = {"random300": lambda: random_config(300, seed=11), "grid6": lambda: grid(6, 6)}
+
+
+@pytest.mark.parametrize("command,stem", sorted(PINNED_STDOUT))
+def test_stdout_bytes_are_pinned(tmp_path, capsys, monkeypatch, command, stem):
+    monkeypatch.chdir(tmp_path)
+    save_configuration(PINNED_INPUTS[stem](), f"{stem}.json")
+    code, out, _ = run(capsys, command, f"{stem}.json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command, stem]
 
 
 def test_analyze_rejects_bad_thread_count(tmp_path, capsys):

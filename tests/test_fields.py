@@ -153,6 +153,10 @@ def test_is_real():
     assert quadratic_field(2).sqrt_gen().is_real()
     assert not quadratic_field(-3).sqrt_gen().is_real()
     assert quadratic_field(-3).element([4, 0]).is_real()
+    # every element of a real field is real
+    assert Q.is_real() and quadratic_field(2).is_real()
+    assert cyclotomic_field(1).is_real() and cyclotomic_field(2).is_real()
+    assert not quadratic_field(-3).is_real() and not Q3.is_real() and not Q8.is_real()
 
 
 def test_degenerate_cyclotomic_fields():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -299,6 +300,21 @@ def _double_collision():
                *[(1, 2**55 + k, 0) for k in range(40)])
 
 
+def _affine_collision():
+    # the slopes from (0, 0) of the next two points, 1 + 2**-51 and
+    # 1 + 1/(2**51 + 1), round to one double: an affine row fails
+    # certification.  The last point canonicalises to z = -1.
+    return cfg((0, 0, 1), (2**51, 2**51 + 1, 1), (2**51 + 1, 2**51 + 2, 1),
+               (-2**51, -2**51 - 1, 1))
+
+
+def _near_affine_limit(m):
+    # a grid and far points on its lines, with coordinates up to m: the
+    # affine slope keys take m = 2**52 - 1 and leave m = 2**52 alone
+    return Configuration(Q, grid(3, 3).points + tuple(pt(*t) for t in (
+        (m, m, 1), (-m, 0, 1), (0, -m, 1), (m, m - 1, 1), (1 - m, 2 - m, 1))))
+
+
 ORACLE_CASES = {
     "Q-two-points": lambda: cfg((0, 0, 1), (1, 1, 1)),
     "Q-all-collinear": lambda: cfg(*((t, 2 * t - 1, 1) for t in range(7))),
@@ -307,6 +323,9 @@ ORACLE_CASES = {
     "Q-random": lambda: random_config(30, seed=5),
     "Q-at-infinity": _at_infinity,
     "Q-double-collision": _double_collision,
+    "Q-affine-collision": _affine_collision,
+    "Q-affine-below-limit": lambda: _near_affine_limit(2**52 - 1),
+    "Q-affine-at-limit": lambda: _near_affine_limit(2**52),
     "Q2-two-points": lambda: _two_points(Q2),
     "Q2-all-collinear": lambda: _all_collinear(Q2, 6),
     "Q2-near-pencil": lambda: _near_pencil(Q2, 7),
@@ -383,6 +402,33 @@ def test_spectrum_over_q_slope_screen_matches_oracle_lines(monkeypatch):
     # certification
     names = [name for name in sorted(ORACLE_CASES) if name.startswith("Q-")]
     _assert_oracle_with_fallbacks(monkeypatch, names, "_primitive_cross", "_on_scalar_line")
+
+
+def test_slope_screen_keys_affine_inputs_by_affine_slopes(monkeypatch):
+    # inputs with z = +-1 and coordinates below 2**52 are keyed by the
+    # affine formula, all others by the projective one; the affine row of
+    # slopes that round to one double falls back to the exact key
+    calls = Counter()
+    for name in ("_affine_slopes", "_projective_slopes", "_primitive_cross"):
+        def counting(*args, name=name, original=getattr(projective, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(projective, name, counting)
+    formulas = {
+        "Q-affine-collision": "_affine_slopes",
+        "Q-affine-below-limit": "_affine_slopes",
+        "Q-random": "_affine_slopes",
+        "Q-affine-at-limit": "_projective_slopes",
+        "Q-at-infinity": "_projective_slopes",
+    }
+    for name, formula in formulas.items():
+        calls.clear()
+        config = ORACLE_CASES[name]()
+        assert spectrum(config) == spectrum_from_lines(config.n, oracle_spanned_lines(config))
+        assert calls[formula] == config.n - 1, name
+        assert set(calls) <= {formula, "_primitive_cross"}, name
+        if name == "Q-affine-collision":
+            assert calls["_primitive_cross"] == config.n - 1
 
 
 @settings(deadline=None, max_examples=40)
@@ -505,6 +551,27 @@ def test_duplicate_points_rejected():
     with pytest.raises(DuplicatePointError):
         Configuration(Q, (pt(0, 0, 1), pt(0, 0, 2)))
     assert issubclass(DuplicatePointError, GeometryError)
+
+
+def test_configuration_is_real_matches_its_coordinates():
+    Qm3, Z8 = quadratic_field(-3), cyclotomic_field(8)
+    z = Z8.zeta()
+    sqrt2 = z + z ** 7
+    cases = [
+        (grid(3, 3), True),
+        (_two_points(Q2), True),
+        (_moved_grid(Q2, 2, 3), True),
+        (_embed(Qm3, grid(2, 3)), True),
+        (_two_points(Qm3), False),
+        (_embed(Z8, grid(2, 3)), True),
+        (Configuration(Z8, (ProjectivePoint((sqrt2, Z8.one(), Z8.zero()), Z8),
+                            ProjectivePoint((Z8.one(), sqrt2, Z8.one()), Z8))), True),
+        (_two_points(Z5), False),
+        (fermat(3), False),
+    ]
+    for config, real in cases:
+        by_coordinates = all(c.is_real() for p in config.points for c in p.coords)
+        assert config.is_real() == by_coordinates == real, config
 
 
 def test_empty_configuration_rejected():

@@ -133,11 +133,23 @@ def test_dumps_is_indented_with_final_newline():
         {"field": {"kind": "rational"}, "points": []},
         {"field": {"kind": "rational"}, "points": [["1", "0"]]},
         {"field": {"kind": "rational"}, "points": [["1", "0", "0"]], "label": 5},
+        # coordinates over Q: each must be a JSON integer or an exact string
+        {"field": {"kind": "rational"}, "points": [[0.5, "0", "1"]]},
+        {"field": {"kind": "rational"}, "points": [[True, "0", "1"]]},
+        {"field": {"kind": "rational"}, "points": [[None, "0", "1"]]},
+        {"field": {"kind": "rational"}, "points": [[["1", "2"], "0", "1"]]},
+        {"field": {"kind": "rational"}, "points": [["1/0", "0", "1"]]},
+        {"field": {"kind": "rational"}, "points": [["abc", "0", "1"]]},
     ],
 )
 def test_config_from_json_validation(data):
     with pytest.raises(SerializationError):
         config_from_json(data)
+
+
+def test_config_from_json_rejects_the_zero_triple():
+    with pytest.raises(GeometryError):
+        config_from_json({"field": {"kind": "rational"}, "points": [["0", "0", "0"]]})
 
 
 def test_config_from_json_still_rejects_duplicates():
