@@ -11,16 +11,19 @@ p . (q x r) (_on_line) behind a GF(p) screen.
 
 Every spanned-line count comes from one kernel, _screened_rows: for each
 point i it keys the later points j > i by the line through i and j, in one
-pass per row.  Over Q the key is the line's slope in the affine chart of
-point i, a correctly rounded float (_slope_screen); over Q(sqrt d) and
-Q(zeta_N) it is the line's image in P^2(GF(p)) (_image_screen).  Either is
-only a hash key: a row whose keys are all distinct holds only 2-point
-lines, which is exact, and every key that repeats is certified with an
-exact incidence test before it counts.  A row with a failed certificate, or
-one the screen cannot key (over Q, a row point with z = 0 or a slope too
-large for a double; elsewhere, a vanishing image mod p), is keyed again by
-the exact canonical form (over Q, _primitive_cross on scalar triples).  No
-float reaches a count.
+pass per row.  Over Q the key is the line's slope, a correctly rounded
+float (_slope_screen): on float affine coordinates when every point has
+z = +-1 and integer coordinates below 2**52 in magnitude, which are exact
+(_affine_slopes), and in the affine chart of point i otherwise
+(_projective_slopes).  Over Q(sqrt d) and Q(zeta_N) the key is the line's
+image in P^2(GF(p)) (_image_screen).  Either is only a hash key: a row whose
+keys are all distinct holds only 2-point lines, which is exact, and every
+key that repeats is certified with an exact incidence test before it
+counts.  A row with a failed certificate, or one the screen cannot key
+(over Q, a row point with z = 0 or a slope too large for a double;
+elsewhere, a vanishing image mod p), is keyed again by the exact canonical
+form (over Q, _primitive_cross on scalar triples).  No float reaches a
+count.
 _fold_rows turns the rows into line counts and degrees, for spectrum and
 for search.  spanned_lines keys every pair by the exact form, keeps each
 line's members and wraps the lines in LineKeys.  oracle_spanned_lines is
@@ -79,7 +82,8 @@ def _coerce_triple(coords, field: FieldDescriptor | None):
         if isinstance(c, FieldElement):
             pairs.append((c.nums, c.den))
         else:
-            c = Fraction(c)
+            if not isinstance(c, (int, Fraction)):
+                c = Fraction(c)
             pairs.append(((c.numerator,) + pad, c.denominator))
     lcm = math.lcm(*[den for _, den in pairs])
     return field, tuple(nums if den == lcm else tuple(x * (lcm // den) for x in nums)
@@ -320,9 +324,11 @@ _AFFINE_LIMIT = 2 ** 52
 
 
 def _affine_slopes(points, i):
-    """The keys of row i over affine points (X, Y), ints or integral floats:
-    the slope (Y_j - Y_i) / (X_j - X_i) to each later point j, or math.inf
-    for a vertical line.  None if a slope is too large for a double."""
+    """The keys of row i over affine points (X, Y): the slope
+    (Y_j - Y_i) / (X_j - X_i) to each later point j, or math.inf for a
+    vertical line.  None if a slope is too large for a double.  The
+    coordinates are ints, or floats of integers below 2**52 in magnitude,
+    so that every difference is exact (see _slope_screen)."""
     x0, y0 = points[i]
     try:
         return [(y - y0) / d if (d := x - x0) else math.inf for x, y in points[i + 1:]]
@@ -363,15 +369,19 @@ def _slope_screen(items):
 
     When every triple has z = +-1 and |x|, |y| < 2**52, the rows are keyed
     on affine points (X, Y) = (x z, y z), built once as floats
-    (_affine_slopes).  Those floats are exact, and so are their differences,
-    which stay below 2**53 in magnitude; IEEE division rounds correctly.  So
-    each key is the same double as the projective formula's, at a float
-    subtraction and division per pair instead of four products and an
-    int/int division.  At 2**52 a difference may reach 2**53 and round.
-    Any other input, with a point at infinity, a fractional coordinate or
-    one of 2**52 or more, keeps the projective formula (_projective_slopes),
-    and its rows through a point with z = 0 or with a slope too large for a
-    double get None: they take the exact key."""
+    (_affine_slopes).  Those floats are exact, and so are their differences:
+    these stay below 2**53 in magnitude, where every integer is a double.
+    The quotient of the affine differences is the projective formula's
+    quotient, both terms scaled by c z = +-1, and IEEE division rounds it
+    correctly, as int/int division does.  So each key is the same double as
+    the projective formula's, at two float subtractions and a division per
+    pair instead of four int products, two subtractions and a division.
+    From 2**52 on, a difference can pass 2**53 and round.  Any other input,
+    with a point at infinity, a point with a fractional affine coordinate
+    (its primitive z is not +-1) or a coordinate of 2**52 or more, keeps
+    the projective formula (_projective_slopes), and its rows through a
+    point with z = 0 or with a slope too large for a double get None: they
+    take the exact key."""
     if all(z in (1, -1) and abs(x) < _AFFINE_LIMIT and abs(y) < _AFFINE_LIMIT
            for x, y, z in items):
         return _affine_screen([(float(x * z), float(y * z)) for x, y, z in items])
