@@ -54,8 +54,9 @@ class SearchRecord:
 def _int_stats(pts: Sequence[Tuple[int, int]]) -> Tuple[int, int, int]:
     """(total_lines, incidences, max_collinear) for distinct integer points,
     folded from the spectrum's row kernel over their (x, y, 1) triples.  The
-    rows are keyed on the points themselves: int slopes are exact at any
-    size, so they skip _slope_screen's check of the whole input."""
+    rows are keyed on the points themselves: int differences are exact at
+    any size and int/int division rounds correctly, so they skip
+    _slope_screen's check of the whole input."""
     items = [(x, y, 1) for x, y in pts]
     s = _fold_rows(len(items), _screened_rows(items, _primitive_cross, _affine_screen(pts)))
     return s.total_lines, s.incidences, s.max_collinear
