@@ -14,7 +14,13 @@ import random
 from fractions import Fraction
 from typing import Dict, Optional
 
-from .fields import FieldDescriptor, cyclotomic_field, rational_field
+from .fields import (
+    FieldDescriptor,
+    FieldElement,
+    _powers,
+    cyclotomic_field,
+    rational_field,
+)
 from .projective import Configuration, GeometryError, ProjectivePoint
 
 
@@ -35,14 +41,17 @@ def _trig_field(m: int) -> FieldDescriptor:
 
 
 def _cos_sin(field: FieldDescriptor, numerator: int):
-    """Exact (cos, sin) of the angle 2*pi*numerator/L in Q(zeta_L), 4 | L."""
+    """Exact (cos, sin) of the angle 2*pi*numerator/L in Q(zeta_L), 4 | L:
+    with w = zeta_L^numerator, cos = (w + w^-1) / 2 and sin = (w - w^-1) / 2i.
+    zeta^k, zeta^(L-k) and zeta^(3L/4) = 1/i are rows of the power table
+    _powers(L), already reduced modulo Phi_L."""
     L = field.N
-    z = field.zeta()
+    powers = _powers(L)
     k = numerator % L
-    zk = z ** k
-    zmk = z ** ((L - k) % L)
+    zk = FieldElement(field, powers[k])
+    zmk = FieldElement(field, powers[-k % L])
     half = field.from_rational(Fraction(1, 2))
-    neg_i = z ** (3 * L // 4)  # 1/i
+    neg_i = FieldElement(field, powers[3 * L // 4])
     return (zk + zmk) * half, (zk - zmk) * half * neg_i
 
 

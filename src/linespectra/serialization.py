@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Optional, Sequence
@@ -81,11 +82,17 @@ def field_from_json(data) -> FieldDescriptor:
     raise SerializationError(f"unknown field kind {kind!r}")
 
 
+def _coeff_str(n: int, den: int) -> str:
+    """str(Fraction(n, den)) for den > 0, from one gcd."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 def element_to_json(e: FieldElement):
-    coeffs = e.coeffs
+    den = e.den
     if e.field.kind == "rational":
-        return frac_str(coeffs[0])
-    return [frac_str(c) for c in coeffs]
+        return _coeff_str(e.nums[0], den)
+    return [_coeff_str(n, den) for n in e.nums]
 
 
 def element_from_json(field: FieldDescriptor, data) -> FieldElement:

@@ -153,6 +153,22 @@ def test_stdout_bytes_are_pinned(tmp_path, capsys, monkeypatch, command, stem):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command, stem]
 
 
+# sha256 of the configuration file `generate` writes for each family over
+# Q(zeta_N): its exact coordinates come through the field inverse, the norm
+# and the canonical form, so any change there that moves a byte shows here.
+PINNED_GENERATED = {
+    ("boroczky", "--m", "30"): "104f8643dd5afd785e453e25dc49a14a87bf09ad3cbf351b6d772d1f99c372d3",
+    ("sylvester-cubic", "--k", "20"): "0ef4c3684182c5a3e6f9e07eefd049cccbe3f4a7df8a273e52eaa3b16cec637e",
+    ("fermat", "--m", "16"): "56e06cbe1ca8f46cd2280024a369ad3426203f4fbaa0e8b47337cd530421ccfb",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_GENERATED), ids=" ".join)
+def test_generated_bytes_are_pinned(tmp_path, capsys, argv):
+    path = gen(tmp_path, capsys, *argv)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_GENERATED[argv]
+
+
 def test_analyze_rejects_bad_thread_count(tmp_path, capsys):
     path = gen(tmp_path, capsys, "grid", "--a", "2", "--b", "2")
     code, _, err = run(capsys, "analyze", str(path), "--threads", "0")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from linespectra import (
     quadratic_field,
     rational_field,
 )
+from linespectra.fields import _adjugate, _galois, _mul_intvec, _unit_tower
 
 Q = rational_field()
 Q3 = cyclotomic_field(3)
@@ -275,7 +277,7 @@ def test_element_times_inverse_is_one(a):
         assert a * a.inverse() == cyclotomic_field(7).one()
 
 
-@pytest.mark.parametrize("N", [3, 5, 8, 12, 15, 16, 60, 80])
+@pytest.mark.parametrize("N", [3, 5, 7, 8, 9, 11, 12, 15, 16, 21, 24, 40, 60, 80])
 def test_cyclotomic_arithmetic_matches_sympy(N):
     """Products, inverses and conjugates against sympy's independent
     polynomial arithmetic modulo Phi_N."""
@@ -290,7 +292,7 @@ def test_cyclotomic_arithmetic_matches_sympy(N):
 
     def from_poly(expr):
         coeffs = sympy.Poly(expr, x).all_coeffs()[::-1]
-        coeffs += [0] * (F.degree - len(coeffs))
+        coeffs += [sympy.Integer(0)] * (F.degree - len(coeffs))
         return F.element([Fraction(int(c.p), int(c.q)) for c in coeffs])
 
     rng = random.Random(N)
@@ -299,3 +301,68 @@ def test_cyclotomic_arithmetic_matches_sympy(N):
         assert a * b == from_poly(sympy.rem(as_poly(a) * as_poly(b), phi, x))
         assert a.inverse() == from_poly(sympy.invert(as_poly(a), phi, x))
         assert a.conjugate() == from_poly(sympy.rem(as_poly(a, -1), phi, x))
+
+
+def _adjugate_by_all_conjugates(field, nums):
+    """Reference (adj, norm): adj is the product of every non-identity Galois
+    conjugate, taken one by one."""
+    if not any(nums[1:]):
+        return (1,) + tuple(nums[1:]), nums[0]
+    if field.kind == "quadratic":
+        images = [(nums[0], -nums[1])]
+    else:
+        N = field.N
+        images = [_galois(field, nums, k) for k in range(2, N) if math.gcd(k, N) == 1]
+    adj = images[0]
+    for image in images[1:]:
+        adj = _mul_intvec(field, adj, image)
+    return adj, _mul_intvec(field, nums, adj)[0]
+
+
+def _random_vectors(rng, degree):
+    """A dense, a sparse, a zero-heavy and a rational vector: the shapes
+    _adjugate meets as coordinates and pivots."""
+    def pick(p_zero, size):
+        return tuple(0 if rng.random() < p_zero else rng.randint(-size, size)
+                     for _ in range(degree))
+
+    out = [pick(0.0, 9), pick(0.5, 20), pick(0.9, 3), (rng.randint(1, 9),) + (0,) * (degree - 1)]
+    return [v for v in out if any(v)]
+
+
+@pytest.mark.parametrize("N", range(3, 101))
+def test_adjugate_matches_the_all_conjugates_product(N):
+    field = cyclotomic_field(N)
+    rng = random.Random(7000 + N)
+    for nums in _random_vectors(rng, field.degree):
+        adj, norm = _adjugate(field, nums)
+        assert (adj, norm) == _adjugate_by_all_conjugates(field, nums)
+        assert norm and _mul_intvec(field, nums, adj) == (norm,) + (0,) * (field.degree - 1)
+
+
+@pytest.mark.parametrize("d", [-7, -3, -1, 2, 3, 5])
+def test_quadratic_adjugate_matches_the_conjugate(d):
+    field = quadratic_field(d)
+    rng = random.Random(d)
+    for nums in _random_vectors(rng, 2):
+        assert _adjugate(field, nums) == _adjugate_by_all_conjugates(field, nums)
+
+
+@pytest.mark.parametrize("N", range(1, 101))
+def test_unit_tower_generates_every_unit(N):
+    steps = _unit_tower(N)
+    assert math.prod(o for _, o in steps) == euler_phi(N)
+    group = {1 % N}
+    for k, o in steps:
+        assert k not in group and math.gcd(k, N) == 1
+        powers = [pow(k, j, N) for j in range(o + 1)]
+        assert powers[o] in group and not group.intersection(powers[1:o])
+        group = {h * x % N for h in group for x in powers[:o]}
+    assert group == {k for k in range(N) if math.gcd(k, N) == 1}
+
+
+def test_unit_tower_examples():
+    assert _unit_tower(80) == ((3, 4), (7, 4), (11, 2))
+    assert _unit_tower(60) == ((7, 4), (11, 2), (13, 2))
+    assert _unit_tower(7) == ((2, 3), (3, 2))  # cyclic of order 6, in two steps
+    assert _unit_tower(12) == ((5, 2), (7, 2))
