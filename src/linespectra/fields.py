@@ -20,8 +20,8 @@ every canonical point, is fixed by every automorphism and takes adj = 1; over
 Q(sqrt d) adj is the one conjugate.  Over Q(zeta_N) adj is formed along a
 cached chain of subgroups of (Z/N)^* (_unit_tower): each step multiplies
 together the few conjugates of the partial norm that the next subgroup adds,
-so Q(zeta_80) takes 7 Galois images and 9 products where all 31 conjugates
-took 31 images and 30 products.  _adjugate gives (adj, N(a)) to inverse and
+so Q(zeta_80) takes 7 Galois images and 9 products, against 31 and 30 for
+the conjugates one by one.  _adjugate gives (adj, N(a)) to inverse and
 to the canonical form of projective triples, which it turns into primitive
 integer vectors.
 """
@@ -295,9 +295,9 @@ def _adjugate(field: FieldDescriptor, nums: Sequence[int]) -> tuple:
     starts as a; at each step (k, o), P is the product of sigma_k^j(b) for
     j = 1 .. o-1, and adj <- adj * P, b <- b * P.  Before a step b is the
     product of sigma_h(a) over the subgroup H built so far, fixed by H, so
-    b * P is that product over the next subgroup; at the end b = N(a).  The
-    product is the same as over every conjugate at once, in another order,
-    so adj and the norm are identical."""
+    b * P is that product over the next subgroup; at the end b = N(a).  It
+    is the product of all conjugates taken in another order, so adj and the
+    norm do not depend on the chain."""
     if not any(nums[1:]):  # a rational value is its own conjugate
         return (1,) + nums[1:], nums[0]
     if field.kind == QUADRATIC:

@@ -304,15 +304,12 @@ def test_cyclotomic_arithmetic_matches_sympy(N):
 
 
 def _adjugate_by_all_conjugates(field, nums):
-    """Reference (adj, norm): adj is the product of every non-identity Galois
-    conjugate, taken one by one."""
+    """Reference (adj, norm) over Q(zeta_N): adj is the product of every
+    non-identity Galois conjugate, taken one by one."""
     if not any(nums[1:]):
         return (1,) + tuple(nums[1:]), nums[0]
-    if field.kind == "quadratic":
-        images = [(nums[0], -nums[1])]
-    else:
-        N = field.N
-        images = [_galois(field, nums, k) for k in range(2, N) if math.gcd(k, N) == 1]
+    N = field.N
+    images = [_galois(field, nums, k) for k in range(2, N) if math.gcd(k, N) == 1]
     adj = images[0]
     for image in images[1:]:
         adj = _mul_intvec(field, adj, image)
@@ -338,14 +335,6 @@ def test_adjugate_matches_the_all_conjugates_product(N):
         adj, norm = _adjugate(field, nums)
         assert (adj, norm) == _adjugate_by_all_conjugates(field, nums)
         assert norm and _mul_intvec(field, nums, adj) == (norm,) + (0,) * (field.degree - 1)
-
-
-@pytest.mark.parametrize("d", [-7, -3, -1, 2, 3, 5])
-def test_quadratic_adjugate_matches_the_conjugate(d):
-    field = quadratic_field(d)
-    rng = random.Random(d)
-    for nums in _random_vectors(rng, 2):
-        assert _adjugate(field, nums) == _adjugate_by_all_conjugates(field, nums)
 
 
 @pytest.mark.parametrize("N", range(1, 101))
