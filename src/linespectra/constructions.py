@@ -96,9 +96,9 @@ def boroczky(m: int) -> Configuration:
 
 def sylvester_cubic(k: int) -> Configuration:
     """Group construction on the acnodal cubic y^2 z = x^3 - x^2 z, whose
-    smooth real points form a circle group: with m = 2k and
-    t_j = -cot(pi*j/m), the points P_j = (t_j^2 + 1 : t_j^3 + t_j : 1) for
-    0 < j < m plus P_0 = (0 : 1 : 0) satisfy "P_a, P_b, P_c collinear iff
+    smooth real points form a circle group: with m = 2k, c = cos(pi*j/m)
+    and s = sin(pi*j/m), the points P_j = (s : -c : s^3) for 0 < j < m
+    plus P_0 = (0 : 1 : 0) satisfy "P_a, P_b, P_c collinear iff
     a + b + c = 0 (mod m)" (a line meets the cubic three times, so no four
     are collinear).  This gives roughly n^2/6 spanned lines.  A cusp-model
     cubic cannot do that: its smooth points form the torsion-free group
@@ -108,12 +108,10 @@ def sylvester_cubic(k: int) -> Configuration:
     m = 2 * k
     field = _trig_field(m)
     L = field.N
-    one, zero = field.one(), field.zero()
-    pts = [ProjectivePoint((zero, one, zero), field)]
+    pts = [ProjectivePoint((0, 1, 0), field)]
     for j in range(1, m):
         c, s = _cos_sin(field, j * (L // (2 * m)))
-        t = -c / s
-        pts.append(ProjectivePoint((t * t + 1, t * t * t + t, one), field))
+        pts.append(ProjectivePoint((s, -c, s * s * s), field))
     return Configuration(field, tuple(pts), label=f"sylvester_cubic(k={k})")
 
 

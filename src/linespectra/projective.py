@@ -25,10 +25,11 @@ elsewhere, a vanishing image mod p), is keyed again by the exact canonical
 form (over Q, _primitive_cross on scalar triples).  No float reaches a
 count.
 _fold_rows turns the rows into line counts and degrees, for spectrum and
-for search.  spanned_lines keys every pair by the exact form, keeps each
-line's members and wraps the lines in LineKeys.  oracle_spanned_lines is
-the deliberately naive cross-check that retests membership of every other
-point with collinear() and must agree everywhere.
+for search.  spanned_lines folds the same rows into each line's members,
+keys each line once by the exact form and wraps it in a LineKey.
+oracle_spanned_lines is the deliberately naive cross-check that retests
+membership of every other point with collinear() and must agree
+everywhere.
 """
 
 from __future__ import annotations
@@ -432,8 +433,8 @@ def _keyed_items(config: Configuration):
     (_slope_screen): on random_config(1200) exact grouping takes 1.3 s on
     scalar triples against 10.4 s on triples of 1-tuples (Python 3.11, one
     core of a 2-vCPU Xeon VM).  Elsewhere rows are screened mod p
-    (_image_screen).  spanned_lines keys every pair by the exact key;
-    spectrum keys rows by the screen and falls back to the exact key."""
+    (_image_screen).  _screened_rows keys rows by the screen and falls
+    back to the exact key; spanned_lines also keys each line by it."""
     fld = config.field
     if fld.kind == RATIONAL:
         items = [tuple(v[0] for v in p.intvecs) for p in config.points]
@@ -498,7 +499,7 @@ def _screened_rows(items, exact_key, screen):
 
 
 def _fold_rows(n: int, rows) -> LineSpectrum:
-    """Spectrum and degrees of n >= 2 points from the kernel's rows.
+    """Spectrum and degrees of n >= 1 points from the kernel's rows.
 
     A line with members m1 < ... < mk shows up in row m_t as a group of the
     k - t points after m_t, so it leaves one group of each size 1 .. k-1;
@@ -539,24 +540,29 @@ def _fold_rows(n: int, rows) -> LineSpectrum:
 
 def spanned_lines(config: Configuration):
     """Map each spanned line's canonical key to the frozenset of indices of
-    the configuration points on it."""
-    items, line_key, _ = _keyed_items(config)
-    found: Dict = {}
-    for i, u in enumerate(items):
-        for j in range(i + 1, len(items)):
-            key = line_key(u, items[j])
-            members = found.get(key)
-            if members is None:
-                found[key] = {i, j}
-            else:
-                members.add(j)
+    the configuration points on it, in sort_token order.
+
+    A fold over the rows of _screened_rows: the lines of row i are its
+    groups and one singleton [j] for each later j in none of them.  A line
+    is new in row i exactly when i is its least member; after[m] holds the
+    next member after m of every line found so far, so a group or singleton
+    whose first member is in after[i] passes through i but was found in an
+    earlier row.  Each new line is keyed once by the exact key."""
+    items, exact_key, screen = _keyed_items(config)
     fld = config.field
     scalar = fld.kind == RATIONAL
-    lines = (
-        (LineKey._of_canonical(fld, tuple((x,) for x in key) if scalar else key),
-         frozenset(members))
-        for key, members in found.items()
-    )
+    after = [set() for _ in items]
+    lines = []
+    for i, _, groups in _screened_rows(items, exact_key, screen):
+        skip = after[i].union(*groups)
+        new = [g for g in groups if g[0] not in after[i]]
+        new += [[j] for j in range(i + 1, len(items)) if j not in skip]
+        for members in new:
+            for a, b in zip(members, members[1:]):
+                after[a].add(b)
+            key = exact_key(items[i], items[members[0]])
+            lines.append((LineKey._of_canonical(fld, tuple((x,) for x in key) if scalar else key),
+                          frozenset([i, *members])))
     return dict(sorted(lines, key=lambda kv: kv[0].sort_token()))
 
 
@@ -609,11 +615,8 @@ def spectrum_from_lines(n: int, lines) -> LineSpectrum:
 
 
 def spectrum(config: Configuration) -> LineSpectrum:
-    """Line spectrum of a configuration.  n < 2 yields the empty spectrum."""
-    n = config.n
-    if n < 2:
-        return spectrum_from_lines(n, {})
-    return _fold_rows(n, _screened_rows(*_keyed_items(config)))
+    """Line spectrum of a configuration.  n = 1 yields the empty spectrum."""
+    return _fold_rows(config.n, _screened_rows(*_keyed_items(config)))
 
 
 # ---------------------------------------------------------------------------

@@ -139,9 +139,8 @@ def exhaustive_search(n: int, g: int, cap: int,
         if stats[2] > cap:
             continue
         value = _objective_value(stats, objective)
-        if best is None or value < best or (value == best and subset < best_pts):
-            if best is None or value < best:
-                history.append((examined, Fraction(value, n * n)))
+        if best is None or value < best:
+            history.append((examined, Fraction(value, n * n)))
             best = value
             best_pts = subset
     if best_pts is None:

@@ -13,8 +13,10 @@ import pytest
 import linespectra.cli as cli_mod
 import linespectra.projective as projective_mod
 from linespectra.cli import main
-from linespectra.constructions import grid, random_config
+from linespectra.constructions import boroczky, grid, random_config
+from linespectra.fields import quadratic_field
 from linespectra.inequalities import InequalityReport
+from linespectra.projective import Configuration
 from linespectra.serialization import load_configuration, save_configuration
 
 
@@ -151,6 +153,40 @@ def test_stdout_bytes_are_pinned(tmp_path, capsys, monkeypatch, command, stem):
     code, out, _ = run(capsys, command, f"{stem}.json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command, stem]
+
+
+def _sqrt2_grid():
+    """The nine real points (x : y : 1), x and y in {0, 1, sqrt 2}."""
+    field = quadratic_field(2)
+    values = (field.zero(), field.one(), field.sqrt_gen())
+    one = field.one()
+    return Configuration(field, tuple((x, y, one) for x in values for y in values))
+
+
+# sha256 of the SVG file and of the stdout manifest of
+# `render stem.json --out stem.svg`, run from the input's directory.  The
+# order of the SVG's lines is the order of spanned_lines.
+PINNED_RENDER = {
+    "boroczky12": ("d60dbf726790eebc64e599635f820dfa65cc827da68c7923bb50134082285c2a",
+                   "02b4e3d67aba7b76d61212216a5f01cac7afe7de765beec79bbcf579cd33765f"),
+    "random60": ("399f7ab11df456a04ab68c9908cfd5dd705421e3d25cd763881de289828c789c",
+                 "c12daff3570dcf198f4f3b029b1130f4ecc3ce8a36d4097d15a07f1384066b21"),
+    "sqrt2grid": ("2d378d04f8e288329cae96ef2b49fbae87008b58e256f8d845be0269843ce91b",
+                  "5828cbafce231d1e12ae371116e9aea3424cd7a79800da2e7dfb9532044663ee"),
+}
+RENDER_INPUTS = {"boroczky12": lambda: boroczky(12),
+                 "random60": lambda: random_config(60, seed=0), "sqrt2grid": _sqrt2_grid}
+
+
+@pytest.mark.parametrize("stem", sorted(PINNED_RENDER))
+def test_rendered_svg_bytes_are_pinned(tmp_path, capsys, monkeypatch, stem):
+    monkeypatch.chdir(tmp_path)
+    save_configuration(RENDER_INPUTS[stem](), f"{stem}.json")
+    code, out, _ = run(capsys, "render", f"{stem}.json", "--out", f"{stem}.svg")
+    assert code == 0
+    digests = tuple(hashlib.sha256(data).hexdigest()
+                    for data in ((tmp_path / f"{stem}.svg").read_bytes(), out.encode()))
+    assert digests == PINNED_RENDER[stem]
 
 
 # sha256 of the configuration file `generate` writes for each family over

@@ -232,9 +232,10 @@ def test_grid_3x3_spectrum():
 
 
 def test_large_rational_config_agrees_with_line_dictionary():
-    # spectrum folds the row groups into counts without keeping any line;
-    # at a size where every row is large it must still count exactly like
-    # the dictionary of lines
+    # spanned_lines derives its lines from the same kernel rows, so this is
+    # no check between independent routes: at a size where every row is
+    # large, _fold_rows must count the rows exactly like the lines read off
+    # them (the oracle checks both routes below)
     config = random_config(650, seed=0)
     by_lines = spectrum_from_lines(config.n, spanned_lines(config))
     assert spectrum(config) == by_lines
@@ -316,6 +317,7 @@ def _near_affine_limit(m):
 
 
 ORACLE_CASES = {
+    "Q-one-point": lambda: cfg((1, 2, 3)),
     "Q-two-points": lambda: cfg((0, 0, 1), (1, 1, 1)),
     "Q-all-collinear": lambda: cfg(*((t, 2 * t - 1, 1) for t in range(7))),
     "Q-near-pencil": lambda: near_pencil(9),
@@ -343,8 +345,11 @@ ORACLE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_spectrum_matches_oracle_lines(name):
+    # spanned_lines gives the oracle's lines in the oracle's key order
     config = ORACLE_CASES[name]()
-    assert spectrum(config) == spectrum_from_lines(config.n, oracle_spanned_lines(config))
+    lines = oracle_spanned_lines(config)
+    assert spectrum(config) == spectrum_from_lines(config.n, lines)
+    assert list(spanned_lines(config).items()) == list(lines.items())
 
 
 def _tiny_screen(fld):
@@ -359,9 +364,10 @@ def _tiny_screen(fld):
 
 
 def _assert_oracle_with_fallbacks(monkeypatch, names, exact_key, on_line):
-    # spectrum agrees with the oracle on every named case, and over all of
-    # them the exact key `exact_key` runs and the check `on_line` fails at
-    # least once
+    # spectrum and spanned_lines agree with the oracle on every named case,
+    # and over all of them spectrum runs the exact key `exact_key` and sees
+    # the check `on_line` fail at least once.  Only spectrum is counted:
+    # spanned_lines runs the exact key once per line anyway.
     exact_keys, failed_groups = 0, 0
     exact, check = getattr(projective, exact_key), getattr(projective, on_line)
 
@@ -378,11 +384,12 @@ def _assert_oracle_with_fallbacks(monkeypatch, names, exact_key, on_line):
 
     for name in names:
         config = ORACLE_CASES[name]()
-        expected = spectrum_from_lines(config.n, oracle_spanned_lines(config))
+        lines = oracle_spanned_lines(config)
         with monkeypatch.context() as m:
             m.setattr(projective, exact_key, counting_exact)
             m.setattr(projective, on_line, counting_check)
-            assert spectrum(config) == expected, name
+            assert spectrum(config) == spectrum_from_lines(config.n, lines), name
+        assert list(spanned_lines(config).items()) == list(lines.items()), name
     assert exact_keys > 0
     assert failed_groups > 0
 
