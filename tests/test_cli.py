@@ -155,6 +155,31 @@ def test_stdout_bytes_are_pinned(tmp_path, capsys, monkeypatch, command, stem):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command, stem]
 
 
+# sha256 of the stdout of `search` runs.  The last local run keys its
+# coordinates below 2**60, too large for the float affine slopes.
+PINNED_SEARCH = {
+    ("exhaustive", "--n", "6", "--g", "4", "--cap", "3"):
+        "9b0e89b7a8654047d5360a71b41b9dea97d18e2aba7b8df506b49f7c725a058b",
+    ("exhaustive", "--n", "6", "--g", "4", "--cap", "3", "--objective", "lines"):
+        "124b1e0c8940dfb0903c5090c141906f878e5aecf23b7af43693593df0a41863",
+    ("exhaustive", "--n", "6", "--g", "4", "--cap", "3", "--no-prune"):
+        "91a775ec96c2f17b7b6a6d936421f0541844e769487d1228b4f6a0b3923a6cd2",
+    ("local", "--n", "12", "--cap", "3", "--restarts", "2", "--iterations", "200",
+     "--seed", "7"):
+        "5b6c10eeca619388d758bb8b3075a35c2cf6e767057e9ba68ca16e7999ee578d",
+    ("local", "--n", "12", "--cap", "3", "--restarts", "2", "--iterations", "200",
+     "--seed", "7", "--bound", str(2 ** 60)):
+        "ab7a18c8dbb5ffc2efd79269f1994d880f091785b9fa38faaba42a682289397a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_SEARCH), ids=" ".join)
+def test_search_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, "search", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SEARCH[argv]
+
+
 def _sqrt2_grid():
     """The nine real points (x : y : 1), x and y in {0, 1, sqrt 2}."""
     field = quadratic_field(2)
