@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from .fields import FieldElement, quadratic_field
 from .projective import LineSpectrum
@@ -210,21 +210,22 @@ def check_bojanowski(s: LineSpectrum) -> List[InequalityReport]:
 
 def _beck_two_alternatives(name: str, s: LineSpectrum, applicable: bool,
                            gate_reason: str, threshold: FieldElement,
-                           mult: Tuple[int, int], square_rhs: int,
                            lines_rhs: Fraction) -> InequalityReport:
     """Shared shape of the two-extremes theorems: either some line holds more
     than threshold*n points, or the configuration spans many lines.
 
     When the first alternative fires, the margin is irrational, so the report
-    compares the squares: with threshold = u/w + (1/v)*sqrt(d), the condition
-    mc > threshold*n becomes (w*mc - u*n)^2 > d*(w/v)^2... here precomputed
-    as (mult[0]*mc - mult[1]*n)^2 > square_rhs*n^2."""
+    compares squares.  With threshold = u + v*sqrt(d), v > 0, and w the lcm
+    of the denominators of u and v (the element's den, so w*u and w*v are its
+    nums), mc > threshold*n reads w*mc - w*u*n > w*v*sqrt(d)*n > 0, that is
+    (w*mc - w*u*n)^2 > d*(w*v)^2*n^2, all in integers."""
     mc, n = s.max_collinear, s.n
     if _exceeds(Fraction(mc), threshold * n):
-        lhs = Fraction((mult[0] * mc - mult[1] * n) ** 2)
+        (wu, wv), w = threshold.nums, threshold.den
+        lhs = Fraction((w * mc - wu * n) ** 2)
         reason = gate_reason + "; a single line exceeds the threshold share"
         return _report(name, "theorem", applicable, reason, ">",
-                       lhs, Fraction(square_rhs * n * n))
+                       lhs, Fraction(threshold.field.d * wv * wv * n * n))
     reason = gate_reason + "; no line exceeds the threshold share"
     return _report(name, "theorem", applicable, reason, ">=",
                    Fraction(s.total_lines), lines_rhs)
@@ -236,8 +237,7 @@ def check_beck_real(s: LineSpectrum, real: bool) -> List[InequalityReport]:
     cap the sharper count 3|L| >= (n^2+3n+9)/3 also applies."""
     n = s.n
     main = _beck_two_alternatives(
-        "beck_real", s, real, _real_reason(real), ALPHA,
-        (9, 6), 3, Fraction(n * n, 9))
+        "beck_real", s, real, _real_reason(real), ALPHA, Fraction(n * n, 9))
     capped = real and _collinear_cap_ok(s)
     reason = _real_reason(real) + "; " + _cap_reason(s, _collinear_cap_ok(s))
     refinement = _report("beck_real_line_count", "theorem", capped, reason,
@@ -252,8 +252,7 @@ def check_beck_complex(s: LineSpectrum) -> List[InequalityReport]:
     refinement |L| >= (n+3)^2/12 under the 2n/3 cap."""
     n = s.n
     main = _beck_two_alternatives(
-        "beck_complex", s, True, "no realness hypothesis", BETA,
-        (6, 4), 2, Fraction(n * n, 12))
+        "beck_complex", s, True, "no realness hypothesis", BETA, Fraction(n * n, 12))
     capped = _collinear_cap_ok(s)
     refinement = _report("beck_complex_line_count", "theorem", capped,
                          _cap_reason(s, capped), ">=", s.total_lines,

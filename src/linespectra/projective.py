@@ -307,6 +307,7 @@ def _on_scalar_line(point, line) -> bool:
 
 
 def _primitive_cross(u, v):
+    """_canonical(_cross) in degree 1 on scalar triples, as LineKey stores it."""
     a = u[1] * v[2] - u[2] * v[1]
     b = u[2] * v[0] - u[0] * v[2]
     c = u[0] * v[1] - u[1] * v[0]
@@ -317,7 +318,7 @@ def _primitive_cross(u, v):
         c //= g
     if a < 0 or (a == 0 and (b < 0 or (b == 0 and c < 0))):
         a, b, c = -a, -b, -c
-    return a, b, c
+    return (a,), (b,), (c,)
 
 
 # Affine slope keys are exact below this bound on |x| and |y|: see _slope_screen.
@@ -327,14 +328,11 @@ _AFFINE_LIMIT = 2 ** 52
 def _affine_slopes(points, i):
     """The keys of row i over affine points (X, Y): the slope
     (Y_j - Y_i) / (X_j - X_i) to each later point j, or math.inf for a
-    vertical line.  None if a slope is too large for a double.  The
-    coordinates are ints, or floats of integers below 2**52 in magnitude,
-    so that every difference is exact (see _slope_screen)."""
+    vertical line.  The coordinates are floats of integers below 2**52 in
+    magnitude, so every difference is exact (see _slope_screen) and every
+    divisor is at least 1: no quotient overflows."""
     x0, y0 = points[i]
-    try:
-        return [(y - y0) / d if (d := x - x0) else math.inf for x, y in points[i + 1:]]
-    except OverflowError:
-        return None
+    return [(y - y0) / d if (d := x - x0) else math.inf for x, y in points[i + 1:]]
 
 
 def _projective_slopes(items, i):
@@ -350,12 +348,6 @@ def _projective_slopes(items, i):
                 for x, y, z in items[i + 1:]]
     except OverflowError:
         return None
-
-
-def _affine_screen(points):
-    """The row screen (row_keys, cross, on_line) of scalar triples whose
-    affine points are `points`, keyed by _affine_slopes."""
-    return partial(_affine_slopes, points), _scalar_cross, _on_scalar_line
 
 
 def _slope_screen(items):
@@ -385,7 +377,8 @@ def _slope_screen(items):
     take the exact key."""
     if all(z in (1, -1) and abs(x) < _AFFINE_LIMIT and abs(y) < _AFFINE_LIMIT
            for x, y, z in items):
-        return _affine_screen([(float(x * z), float(y * z)) for x, y, z in items])
+        points = [(float(x * z), float(y * z)) for x, y, z in items]
+        return partial(_affine_slopes, points), _scalar_cross, _on_scalar_line
     return partial(_projective_slopes, items), _scalar_cross, _on_scalar_line
 
 
@@ -549,8 +542,6 @@ def spanned_lines(config: Configuration):
     whose first member is in after[i] passes through i but was found in an
     earlier row.  Each new line is keyed once by the exact key."""
     items, exact_key, screen = _keyed_items(config)
-    fld = config.field
-    scalar = fld.kind == RATIONAL
     after = [set() for _ in items]
     lines = []
     for i, _, groups in _screened_rows(items, exact_key, screen):
@@ -561,8 +552,7 @@ def spanned_lines(config: Configuration):
             for a, b in zip(members, members[1:]):
                 after[a].add(b)
             key = exact_key(items[i], items[members[0]])
-            lines.append((LineKey._of_canonical(fld, tuple((x,) for x in key) if scalar else key),
-                          frozenset([i, *members])))
+            lines.append((LineKey._of_canonical(config.field, key), frozenset([i, *members])))
     return dict(sorted(lines, key=lambda kv: kv[0].sort_token()))
 
 

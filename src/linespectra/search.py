@@ -22,10 +22,10 @@ from .fields import rational_field
 from .projective import (
     Configuration,
     ProjectivePoint,
-    _affine_screen,
     _fold_rows,
     _primitive_cross,
     _screened_rows,
+    _slope_screen,
 )
 
 OBJECTIVES = ("incidences", "lines")
@@ -53,12 +53,9 @@ class SearchRecord:
 
 def _int_stats(pts: Sequence[Tuple[int, int]]) -> Tuple[int, int, int]:
     """(total_lines, incidences, max_collinear) for distinct integer points,
-    folded from the spectrum's row kernel over their (x, y, 1) triples.  The
-    rows are keyed on the points themselves: int differences are exact at
-    any size and int/int division rounds correctly, so they skip
-    _slope_screen's check of the whole input."""
+    folded from the spectrum's row kernel over their (x, y, 1) triples."""
     items = [(x, y, 1) for x, y in pts]
-    s = _fold_rows(len(items), _screened_rows(items, _primitive_cross, _affine_screen(pts)))
+    s = _fold_rows(len(items), _screened_rows(items, _primitive_cross, _slope_screen(items)))
     return s.total_lines, s.incidences, s.max_collinear
 
 
@@ -81,32 +78,23 @@ def _check_objective(kind: str):
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration.
 
-def _dihedral_maps(g: int):
-    maps = []
-    for swap in (False, True):
-        for flip_x in (False, True):
-            for flip_y in (False, True):
-                def move(p, swap=swap, fx=flip_x, fy=flip_y):
-                    x, y = (p[1], p[0]) if swap else p
-                    if fx:
-                        x = g - 1 - x
-                    if fy:
-                        y = g - 1 - y
-                    return (x, y)
-                maps.append(move)
-    return maps
+def _symmetries(g: int) -> List[List[int]]:
+    """The 8 symmetries of the g x g grid as permutations of the row-major
+    indices x * g + y: swap x and y or not, then reverse either or both."""
+    ways = (range(g), range(g)[::-1])
+    return [[fx[u] * g + fy[v] for x in range(g) for y in range(g)
+             for u, v in [(y, x) if swap else (x, y)]]
+            for swap in (False, True) for fx in ways for fy in ways]
 
 
-def _is_canonical(subset: Tuple[Tuple[int, int], ...], maps) -> bool:
-    """True iff subset is the lexicographic minimum of its symmetry orbit.
+def _is_canonical(subset: Tuple[int, ...], symmetries) -> bool:
+    """True iff the ascending index tuple subset is the lexicographic
+    minimum of its symmetry orbit.
 
     Skipping non-canonical subsets cannot change the reported optimum: the
     objective and the cap are symmetry-invariant, and the lexicographically
     first optimal subset is necessarily its own orbit minimum."""
-    for move in maps:
-        if tuple(sorted(move(p) for p in subset)) < subset:
-            return False
-    return True
+    return all(tuple(sorted(s[k] for k in subset)) >= subset for s in symmetries)
 
 
 def exhaustive_search(n: int, g: int, cap: int,
@@ -126,23 +114,24 @@ def exhaustive_search(n: int, g: int, cap: int,
         raise SearchError(f"cap must be at least 2, got {cap}")
 
     grid_points = [(x, y) for x in range(g) for y in range(g)]
-    maps = _dihedral_maps(g) if prune else None
-    best_pts: Optional[Tuple[Tuple[int, int], ...]] = None
+    symmetries = _symmetries(g) if prune else None
+    best_pts: Optional[List[Tuple[int, int]]] = None
     best = None
     examined = 0
     history: List[Tuple[int, Fraction]] = []
-    for subset in itertools.combinations(grid_points, n):
-        if maps is not None and not _is_canonical(subset, maps):
+    for subset in itertools.combinations(range(g * g), n):
+        if symmetries is not None and not _is_canonical(subset, symmetries):
             continue
         examined += 1
-        stats = _int_stats(subset)
+        pts = [grid_points[k] for k in subset]
+        stats = _int_stats(pts)
         if stats[2] > cap:
             continue
         value = _objective_value(stats, objective)
         if best is None or value < best:
             history.append((examined, Fraction(value, n * n)))
             best = value
-            best_pts = subset
+            best_pts = pts
     if best_pts is None:
         raise SearchError(f"no {n}-subset of the {g}x{g} grid has max collinearity <= {cap}")
     label = f"exhaustive(n={n},g={g},cap={cap})"
@@ -176,9 +165,9 @@ def _load_checkpoint(path: Path, fingerprint: Dict) -> Optional[Dict]:
     if not path.exists():
         return None
     data = json.loads(path.read_text())
-    if data.get("kind") != _CHECKPOINT_KIND:
+    if not isinstance(data, dict) or data.get("kind") != _CHECKPOINT_KIND:
         raise SearchError(f"{path} is not a search checkpoint")
-    if data["fingerprint"] != fingerprint:
+    if data.get("fingerprint") != fingerprint:
         raise SearchError(f"checkpoint {path} was produced by a different search")
     return data
 

@@ -372,6 +372,25 @@ def test_search_local_with_checkpoint(tmp_path, capsys):
     assert record["method"] == "local"
 
 
+def test_search_local_malformed_checkpoint_exits_one(tmp_path, capsys):
+    # a checkpoint that is no JSON object, or one without a fingerprint, is
+    # bad input named in the message, not a traceback
+    files = {
+        "list.ckpt": ([], "{} is not a search checkpoint"),
+        "string.ckpt": ("x", "{} is not a search checkpoint"),
+        "bare.ckpt": ({"kind": "local-search-checkpoint"},
+                      "checkpoint {} was produced by a different search"),
+    }
+    for name, (data, message) in files.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "search", "local", "--n", "8", "--cap", "8",
+                             "--iterations", "10", "--restarts", "1",
+                             "--checkpoint", str(path))
+        assert (code, out) == (1, ""), name
+        assert err == "error: " + message.format(path) + "\n", name
+
+
 def test_search_validation(capsys):
     assert run(capsys, "search", "exhaustive", "--n", "4", "--g", "3")[0] == 1
     assert run(capsys, "search", "exhaustive", "--n", "4", "--cap", "2")[0] == 1

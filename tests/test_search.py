@@ -1,5 +1,6 @@
 """Grid searches: exhaustive enumeration, hill climbing, checkpointing."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -52,6 +53,29 @@ def test_exhaustive_result_recomputes():
     s = spectrum(r.best_config)
     assert s.incidences == r.best_value
     assert s.max_collinear <= 3
+
+
+def _point_images(g, subset):
+    # the 8 images of a point tuple under the explicit swap and flip maps
+    for swap, fx, fy in itertools.product((False, True), repeat=3):
+        image = []
+        for p in subset:
+            x, y = (p[1], p[0]) if swap else p
+            image.append((g - 1 - x if fx else x, g - 1 - y if fy else y))
+        yield tuple(sorted(image))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_index_canonicity_matches_point_orbit_minimum(g):
+    symmetries = search_mod._symmetries(g)
+    assert len({tuple(s) for s in symmetries}) == 8
+    assert all(sorted(s) == list(range(g * g)) for s in symmetries)
+    grid_points = [(x, y) for x in range(g) for y in range(g)]
+    for n in range(1, 5):
+        for subset in itertools.combinations(range(g * g), n):
+            pts = tuple(grid_points[k] for k in subset)
+            expected = min(_point_images(g, pts)) == pts
+            assert search_mod._is_canonical(subset, symmetries) == expected, subset
 
 
 def test_exhaustive_is_deterministic():
