@@ -155,8 +155,8 @@ def test_stdout_bytes_are_pinned(tmp_path, capsys, monkeypatch, command, stem):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command, stem]
 
 
-# sha256 of the stdout of `search` runs.  The last local run keys its
-# coordinates below 2**60, too large for the float affine slopes.
+# sha256 of the stdout of `search` runs.  The last local run draws
+# coordinates below 2**60, mostly too large for the float affine slopes.
 PINNED_SEARCH = {
     ("exhaustive", "--n", "6", "--g", "4", "--cap", "3"):
         "9b0e89b7a8654047d5360a71b41b9dea97d18e2aba7b8df506b49f7c725a058b",
