@@ -214,20 +214,50 @@ def test_rendered_svg_bytes_are_pinned(tmp_path, capsys, monkeypatch, stem):
     assert digests == PINNED_RENDER[stem]
 
 
-# sha256 of the configuration file `generate` writes for each family over
-# Q(zeta_N): its exact coordinates come through the field inverse, the norm
-# and the canonical form, so any change there that moves a byte shows here.
+# sha256 of the configuration file `generate --out config.json` writes and of
+# its stdout manifest, run from the output's directory, for every family
+# name.  The families over Q(zeta_N) take their exact coordinates through
+# the field inverse, the norm and the canonical form, so any change there
+# that moves a byte shows here.
 PINNED_GENERATED = {
-    ("boroczky", "--m", "30"): "104f8643dd5afd785e453e25dc49a14a87bf09ad3cbf351b6d772d1f99c372d3",
-    ("sylvester-cubic", "--k", "20"): "0ef4c3684182c5a3e6f9e07eefd049cccbe3f4a7df8a273e52eaa3b16cec637e",
-    ("fermat", "--m", "16"): "56e06cbe1ca8f46cd2280024a369ad3426203f4fbaa0e8b47337cd530421ccfb",
+    ("boroczky", "--m", "30"):
+        ("104f8643dd5afd785e453e25dc49a14a87bf09ad3cbf351b6d772d1f99c372d3",
+         "675c09617250309372ba2c5b58735ca6bfa380c6b7210e210fbc15633ba55442"),
+    ("sylvester-cubic", "--k", "20"):
+        ("0ef4c3684182c5a3e6f9e07eefd049cccbe3f4a7df8a273e52eaa3b16cec637e",
+         "e2ae134c9e45d2cd9cfbc2dffab954d8831bb0b121e4a61989813d528708a8eb"),
+    ("fermat", "--m", "16"):
+        ("56e06cbe1ca8f46cd2280024a369ad3426203f4fbaa0e8b47337cd530421ccfb",
+         "31144048bca08405663ad7b9d770b471f52e665585e25bd66c9757cc588e0f1a"),
+    ("cuspidal-cubic", "--k", "5"):
+        ("722fc545c50e3a85b0dd3ae5e2014f3412a08e2b817bc8cc3610502aba8ba150",
+         "c8fc85ab366ec5209630cfbc2eb1857fccdea7f089b489c0a98146a4c0bb0d3b"),
+    ("grid", "--a", "4", "--b", "3"):
+        ("2e799bce2434bd4eacfecad168e19ed1f1881d0bd9175fcee3e5fe435fdadaed",
+         "4619ae85e1f1423c3dfc0d70f93841da70622a7dc2ef7240e56989b2303d780f"),
+    ("near-pencil", "--n", "7"):
+        ("de8ce387a2bf9a91dff1e35a96af9f6ed1a744548c1ceebc037ec8c5c7d13f37",
+         "798ced48513520bf4522ce9fad4e2886753b498bb25c0ce15f84d7ee1dd54387"),
+    ("random", "--n", "20", "--seed", "3"):
+        ("623054283dff3233ab6d8b65155a018dab4e7935419084a621f4254db57c23bd",
+         "89468c252e324885f7467d163dcf001d97c77fd86d64e9ca1c7c0abf0873f5d8"),
+    ("random", "--n", "20", "--seed", "3", "--bound", "9"):
+        ("079b3ada90545736cf5258cfab37a633a237890b8c5a395ccdcf634478b2d3bb",
+         "18608f4319beb8bb4614f159bef51e58092639c6af5b198c70b61c2265672b53"),
+    ("two-lines", "--m", "5"):
+        ("c296250080374920ca058998858784c81e3eb9fb1ff8b31f26e0befa58a76951",
+         "31a66181df35ac02bdb7851463d4547c83a046bb29ad29abd954b41263c1b04b"),
 }
 
 
 @pytest.mark.parametrize("argv", sorted(PINNED_GENERATED), ids=" ".join)
-def test_generated_bytes_are_pinned(tmp_path, capsys, argv):
-    path = gen(tmp_path, capsys, *argv)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_GENERATED[argv]
+def test_generated_bytes_are_pinned(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "generate", *argv, "--out", "config.json")
+    assert code == 0
+    digests = tuple(hashlib.sha256(data).hexdigest()
+                    for data in ((tmp_path / "config.json").read_bytes(), out.encode()))
+    assert digests == PINNED_GENERATED[argv]
 
 
 def test_analyze_rejects_bad_thread_count(tmp_path, capsys):
