@@ -15,6 +15,7 @@ excluded from the echoed argument map.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +25,7 @@ from .constructions import GENERATORS, expected_spectrum
 from .inequalities import exit_code_for, run_checks, violations
 from .projective import InternalError, spectrum
 from .render import _render
-from .search import exhaustive_search, local_search
+from .search import OBJECTIVES, exhaustive_search, local_search
 from .serialization import (
     config_to_json,
     dumps,
@@ -49,18 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-_GENERATOR_PARAMS = {
-    "fermat": ("m",),
-    "boroczky": ("m",),
-    "sylvester-cubic": ("k",),
-    "cuspidal-cubic": ("k",),
-    "two-lines": ("m",),
-    "near-pencil": ("n",),
-    "grid": ("a", "b"),
-    "random": ("n",),
-}
-
-
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("json", "csv"), default="json",
                     help="output format (json is lossless, csv approximate)")
@@ -77,13 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     gen = sub.add_parser("generate", help="write a named configuration as JSON")
-    gen.add_argument("name", choices=sorted(_GENERATOR_PARAMS))
-    gen.add_argument("--m", type=int)
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--a", type=int)
-    gen.add_argument("--b", type=int)
-    gen.add_argument("--bound", type=int)
+    gen.add_argument("name", choices=sorted(name.replace("_", "-") for name in GENERATORS))
+    params = {p for family in GENERATORS.values() for p in inspect.signature(family).parameters}
+    for pname in sorted(params - {"seed"}):
+        gen.add_argument(f"--{pname}", type=int)
     _add_common(gen)
     gen.set_defaults(handler=_cmd_generate)
 
@@ -108,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--bound", type=int, help="coordinate bound (local)")
     sea.add_argument("--iterations", type=int, default=2000)
     sea.add_argument("--restarts", type=int, default=4)
-    sea.add_argument("--objective", choices=("incidences", "lines"),
-                     default="incidences")
+    sea.add_argument("--objective", choices=OBJECTIVES, default="incidences")
     sea.add_argument("--no-prune", action="store_true",
                      help="disable symmetry pruning (exhaustive)")
     sea.add_argument("--checkpoint", help="checkpoint file for resumable local search")
@@ -140,17 +125,14 @@ def _manifest(command: str, arguments: Dict, result) -> str:
 def _cmd_generate(args) -> int:
     if not args.out:
         raise CliError("generate requires --out for the configuration file")
-    params: Dict[str, int] = {}
-    for pname in _GENERATOR_PARAMS[args.name]:
-        value = getattr(args, pname)
-        if value is None:
-            raise CliError(f"{args.name} requires --{pname}")
-        params[pname] = value
-    if args.name == "random":
-        params["seed"] = args.seed
-        if args.bound is not None:
-            params["bound"] = args.bound
     pyname = args.name.replace("-", "_")
+    params: Dict[str, int] = {}
+    for p in inspect.signature(GENERATORS[pyname]).parameters.values():
+        value = getattr(args, p.name)
+        if value is not None:
+            params[p.name] = value
+        elif p.default is p.empty:
+            raise CliError(f"{args.name} requires --{p.name}")
     config = GENERATORS[pyname](**params)
     save_configuration(config, args.out)
     expected = expected_spectrum(pyname, **params)
@@ -273,10 +255,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.threads < 1:
             raise CliError("--threads must be at least 1")
         return handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .fields import (
     FieldDescriptor,
@@ -150,6 +150,15 @@ def grid(a: int, b: int) -> Configuration:
     return Configuration(field, pts, label=f"grid(a={a},b={b})")
 
 
+def _distinct_points(rng: random.Random, n: int, bound: int) -> List[Tuple[int, int]]:
+    """n distinct points (x, y) drawn uniformly from [0, bound)^2 by rng, in
+    the order first drawn; a repeated draw is skipped."""
+    pts: Dict[Tuple[int, int], None] = {}
+    while len(pts) < n:
+        pts[rng.randrange(bound), rng.randrange(bound)] = None
+    return list(pts)
+
+
 def random_config(n: int, seed: int, bound: Optional[int] = None) -> Configuration:
     """n distinct integer points drawn uniformly from [0, bound)^2 with a
     deterministic seeded generator (same seed, same configuration, on every
@@ -159,16 +168,9 @@ def random_config(n: int, seed: int, bound: Optional[int] = None) -> Configurati
         bound = 4 * n
     _require(bound >= 1 and bound * bound >= n,
              f"bound {bound} leaves too little room for {n} distinct points")
-    rng = random.Random(seed)
-    seen = set()
-    order = []
-    while len(order) < n:
-        pt = (rng.randrange(bound), rng.randrange(bound))
-        if pt not in seen:
-            seen.add(pt)
-            order.append(pt)
     field = rational_field()
-    pts = tuple(ProjectivePoint((x, y, 1), field) for x, y in order)
+    pts = tuple(ProjectivePoint((x, y, 1), field)
+                for x, y in _distinct_points(random.Random(seed), n, bound))
     return Configuration(
         field, pts, label=f"random(n={n},seed={seed},bound={bound})"
     )

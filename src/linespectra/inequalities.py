@@ -46,10 +46,6 @@ class InequalityReport:
     strict: bool
 
 
-def _fmt(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _report(name: str, kind: str, applicable: bool, reason: str, relation: str,
             lhs, rhs) -> InequalityReport:
     lhs = Fraction(lhs)
@@ -105,10 +101,6 @@ def _exceeds(value, threshold: FieldElement) -> bool:
 # ---------------------------------------------------------------------------
 # Spectrum aggregates.
 
-def _ell(s: LineSpectrum, i: int) -> int:
-    return s.ell.get(i, 0)
-
-
 def _sum_ell(s: LineSpectrum, lo: int, weight) -> Fraction:
     total = Fraction(0)
     for i, cnt in s.ell.items():
@@ -122,7 +114,7 @@ def _collinear_cap_ok(s: LineSpectrum) -> bool:
 
 
 def _cap_reason(s: LineSpectrum, ok: bool) -> str:
-    bound = _fmt(Fraction(2 * s.n, 3))
+    bound = Fraction(2 * s.n, 3)
     if ok:
         return f"max collinearity {s.max_collinear} <= 2n/3 = {bound}"
     return f"max collinearity {s.max_collinear} exceeds 2n/3 = {bound}"
@@ -174,7 +166,7 @@ def check_melchior(s: LineSpectrum, real: bool) -> InequalityReport:
         reason = "real and not collinear"
     rhs = 3 + _sum_ell(s, 4, lambda i: i - 3)
     return _report("melchior", "theorem", applicable, reason, ">=",
-                   _ell(s, 2), rhs)
+                   s.count(2), rhs)
 
 
 def check_hirzebruch(s: LineSpectrum) -> InequalityReport:
@@ -186,7 +178,7 @@ def check_hirzebruch(s: LineSpectrum) -> InequalityReport:
         reason = f"max collinearity {s.max_collinear} <= n-3 = {s.n - 3}"
     else:
         reason = f"max collinearity {s.max_collinear} exceeds n-3 = {s.n - 3}"
-    lhs = _ell(s, 2) + Fraction(3, 4) * _ell(s, 3)
+    lhs = s.count(2) + Fraction(3, 4) * s.count(3)
     rhs = s.n + _sum_ell(s, 5, lambda i: 2 * i - 9)
     return _report("hirzebruch", "theorem", ok, reason, ">=", lhs, rhs)
 
@@ -198,7 +190,7 @@ def check_bojanowski(s: LineSpectrum) -> List[InequalityReport]:
     its verdict must always agree with check_langer."""
     ok = _collinear_cap_ok(s)
     reason = _cap_reason(s, ok)
-    lhs6 = _ell(s, 2) + Fraction(3, 4) * _ell(s, 3)
+    lhs6 = s.count(2) + Fraction(3, 4) * s.count(3)
     rhs6 = s.n + _sum_ell(s, 5, lambda i: Fraction(i * i - 4 * i, 4))
     lhs7 = sum(Fraction(4 * i - i * i) * c for i, c in s.ell.items())
     return [
@@ -287,7 +279,7 @@ def check_l2l3_real(s: LineSpectrum, real: bool) -> List[InequalityReport]:
         reason = f"real; max collinearity {s.max_collinear} within alpha*n"
     else:
         reason = f"real; max collinearity {s.max_collinear} exceeds alpha*n"
-    lhs = _ell(s, 2) + _ell(s, 3)
+    lhs = s.count(2) + s.count(3)
     return [
         _report("l2l3_quadratic", "corollary", applicable, reason, ">=",
                 lhs, Fraction(s.n * s.n, 18)),
@@ -314,7 +306,7 @@ def check_rich_lines(s: LineSpectrum, k: int) -> List[InequalityReport]:
                 rich, Fraction(2 * s.n * s.n, denom)),
     ]
     if k == 5:
-        poor = _ell(s, 2) + _ell(s, 3) + _ell(s, 4)
+        poor = s.count(2) + s.count(3) + s.count(4)
         out.append(_report("poor_lines_majority", "corollary", ok, reason,
                            ">", poor, Fraction(5 * s.total_lines, 9)))
         out.append(_report("poor_lines_quadratic", "corollary", ok, reason,
@@ -343,10 +335,10 @@ def check_section3_chain(s: LineSpectrum) -> List[InequalityReport]:
     ok = _collinear_cap_ok(s)
     reason = _cap_reason(s, ok)
     n = s.n
-    l23 = _ell(s, 2) + _ell(s, 3)
+    l23 = s.count(2) + s.count(3)
     return [
         _report("l4_bound", "corollary", ok, reason, "<=",
-                _ell(s, 4), Fraction(n * n, 12)),
+                s.count(4), Fraction(n * n, 12)),
         _report("l2l3_vs_quarter_n", "corollary", ok, reason, ">=",
                 l23, Fraction(n, 4) + Fraction(3, 8)),
         _report("l2l3_at_least_n", "corollary", ok, reason, ">=", l23, n),
@@ -373,7 +365,7 @@ def check_brass_l4(s: LineSpectrum, real: bool) -> InequalityReport:
     applicable = real and s.n >= 4
     reason = _real_reason(real) if s.n >= 4 else "needs at least 4 points"
     return _report("brass_l4", "informational", applicable, reason, "<",
-                   _ell(s, 4), Fraction(s.n * s.n, 14))
+                   s.count(4), Fraction(s.n * s.n, 14))
 
 
 # ---------------------------------------------------------------------------

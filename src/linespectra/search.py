@@ -18,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .constructions import _distinct_points
 from .fields import rational_field
 from .projective import (
     Configuration,
@@ -51,16 +52,12 @@ class SearchRecord:
     history: Tuple[Tuple[int, Fraction], ...]
 
 
-def _int_stats(pts: Sequence[Tuple[int, int]]) -> Tuple[int, int, int]:
-    """(total_lines, incidences, max_collinear) for distinct integer points,
-    folded from the spectrum's row kernel over their (x, y, 1) triples."""
+def _score(pts: Sequence[Tuple[int, int]], objective: str) -> Tuple[int, int]:
+    """(objective value, max_collinear) for distinct integer points, folded
+    from the spectrum's row kernel over their (x, y, 1) triples."""
     items = [(x, y, 1) for x, y in pts]
     s = _fold_rows(len(items), _screened_rows(items, _primitive_cross, _slope_screen(items)))
-    return s.total_lines, s.incidences, s.max_collinear
-
-
-def _objective_value(stats: Tuple[int, int, int], kind: str) -> int:
-    return stats[1] if kind == "incidences" else stats[0]
+    return (s.incidences if objective == "incidences" else s.total_lines), s.max_collinear
 
 
 def _as_configuration(pts: Sequence[Tuple[int, int]], label: str) -> Configuration:
@@ -124,11 +121,8 @@ def exhaustive_search(n: int, g: int, cap: int,
             continue
         examined += 1
         pts = [grid_points[k] for k in subset]
-        stats = _int_stats(pts)
-        if stats[2] > cap:
-            continue
-        value = _objective_value(stats, objective)
-        if best is None or value < best:
+        value, collinear = _score(pts, objective)
+        if collinear <= cap and (best is None or value < best):
             history.append((examined, Fraction(value, n * n)))
             best = value
             best_pts = pts
@@ -154,32 +148,62 @@ def exhaustive_search(n: int, g: int, cap: int,
 _CHECKPOINT_KIND = "local-search-checkpoint"
 
 
-def _fingerprint(n, bound, cap, iterations, restarts, seed, objective) -> Dict:
-    return {
-        "n": n, "bound": bound, "cap": cap, "iterations": iterations,
-        "restarts": restarts, "seed": seed, "objective": objective,
-    }
-
-
-def _load_checkpoint(path: Path, fingerprint: Dict) -> Optional[Dict]:
+def _load_checkpoint(path: Path, fp: Dict):
+    """(completed restarts, best points, best value, history) from the
+    checkpoint at path, or None if there is none.  Every field is checked
+    against the search's fingerprint first, and the best points are
+    re-scored; keys it does not read are ignored."""
     if not path.exists():
         return None
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as exc:
+        raise SearchError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("kind") != _CHECKPOINT_KIND:
         raise SearchError(f"{path} is not a search checkpoint")
-    if data.get("fingerprint") != fingerprint:
+    if data.get("fingerprint") != fp:
         raise SearchError(f"checkpoint {path} was produced by a different search")
-    return data
+
+    def bad(field, should):
+        return SearchError(f"checkpoint {path}: {field} must be {should}")
+
+    done, best, raw = (data.get(k) for k in ("completed_restarts", "best", "history"))
+    if type(done) is not int or not 0 <= done <= fp["restarts"]:
+        raise bad("completed_restarts", f"an integer in 0..{fp['restarts']}")
+    if not (best is None if done == 0 else isinstance(best, dict)):
+        raise bad("best", "null exactly when no restart has completed, else an object")
+    best_pts = best_value = None
+    if best is not None:
+        points = best.get("points")
+        if not (isinstance(points, list) and len(points) == fp["n"]
+                and all(isinstance(p, list) and len(p) == 2
+                        and all(type(c) is int and 0 <= c < fp["bound"] for c in p)
+                        for p in points)
+                and len({tuple(p) for p in points}) == fp["n"]):
+            raise bad("best.points", f"{fp['n']} distinct integer pairs in [0, {fp['bound']})^2")
+        best_pts = tuple(sorted(map(tuple, points)))
+        best_value, collinear = _score(best_pts, fp["objective"])
+        if collinear > fp["cap"] or best.get("value") != best_value:
+            raise bad("best.value", f"the {fp['objective']} of best.points, "
+                                    f"at most {fp['cap']} of them collinear")
+    limit = done * (fp["iterations"] + 1)
+    try:
+        history = [(i, Fraction(f)) for i, f in raw
+                   if type(i) is int and 0 < i <= limit and isinstance(f, str)]
+    except (TypeError, ValueError, ZeroDivisionError):
+        history = None
+    if not isinstance(raw, list) or history is None or len(history) != len(raw):
+        raise bad("history", f"a list of [index, fraction string] pairs, "
+                             f"each index in 1..{limit}")
+    return done, best_pts, best_value, history
 
 
 def _save_checkpoint(path: Path, fingerprint: Dict, completed: int,
-                     evaluations: int, best_pts, best_value,
-                     history) -> None:
+                     best_pts, best_value, history) -> None:
     data = {
         "kind": _CHECKPOINT_KIND,
         "fingerprint": fingerprint,
         "completed_restarts": completed,
-        "evaluations": evaluations,
         "best": None if best_pts is None else {
             "points": [list(p) for p in best_pts],
             "value": best_value,
@@ -189,18 +213,12 @@ def _save_checkpoint(path: Path, fingerprint: Dict, completed: int,
     path.write_text(json.dumps(data, indent=2) + "\n")
 
 
-def _random_feasible(rng: random.Random, n: int, bound: int, cap: int):
+def _random_feasible(rng: random.Random, n: int, bound: int, cap: int, objective: str):
     for _ in range(1000):
-        seen = set()
-        pts = []
-        while len(pts) < n:
-            p = (rng.randrange(bound), rng.randrange(bound))
-            if p not in seen:
-                seen.add(p)
-                pts.append(p)
-        stats = _int_stats(pts)
-        if stats[2] <= cap:
-            return pts, stats
+        pts = _distinct_points(rng, n, bound)
+        value, collinear = _score(pts, objective)
+        if collinear <= cap:
+            return pts, value
     raise SearchError(
         f"could not sample a start with max collinearity <= {cap} in [0,{bound})^2")
 
@@ -212,11 +230,13 @@ def local_search(n: int, bound: Optional[int] = None, cap: Optional[int] = None,
     """Strict-improvement hill climbing: each move relocates one point to a
     uniform position, rejected on duplicate coordinates or a cap violation.
 
-    Restarts draw their generator seeds from the master seed up front, so a
-    run interrupted between restarts and resumed from its checkpoint file
-    produces the record an uninterrupted run would have.  Ties between
-    restarts resolve to the lexicographically first point set, independent
-    of restart order."""
+    Every restart evaluates its start and then iterations proposals, so the
+    record counts restarts * (iterations + 1) evaluations, and a history
+    entry is indexed by the evaluation that found it.  Restarts draw their
+    generator seeds from the master seed up front, so a run interrupted
+    between restarts and resumed from its checkpoint file produces the
+    record an uninterrupted run would have.  Ties between restarts resolve
+    to the lexicographically first point set, independent of restart order."""
     _check_objective(objective)
     if n < 4:
         raise SearchError(f"local search wants n >= 4, got {n}")
@@ -231,46 +251,31 @@ def local_search(n: int, bound: Optional[int] = None, cap: Optional[int] = None,
     if iterations < 0 or restarts < 1:
         raise SearchError("iterations must be >= 0 and restarts >= 1")
 
-    fingerprint = _fingerprint(n, bound, cap, iterations, restarts, seed, objective)
+    fingerprint = dict(n=n, bound=bound, cap=cap, iterations=iterations,
+                       restarts=restarts, seed=seed, objective=objective)
     master = random.Random(seed)
     restart_seeds = [master.getrandbits(64) for _ in range(restarts)]
 
-    start_restart = 0
-    evaluations = 0
-    best_pts = None
-    best_value = None
-    history: List[Tuple[int, Fraction]] = []
+    state = (0, None, None, [])
     ckpt_path = Path(checkpoint) if checkpoint else None
     if ckpt_path is not None:
-        state = _load_checkpoint(ckpt_path, fingerprint)
-        if state is not None:
-            start_restart = state["completed_restarts"]
-            evaluations = state["evaluations"]
-            if state["best"] is not None:
-                best_pts = tuple(tuple(p) for p in state["best"]["points"])
-                best_value = state["best"]["value"]
-            history = [(it, Fraction(obj)) for it, obj in state["history"]]
+        state = _load_checkpoint(ckpt_path, fingerprint) or state
+    start_restart, best_pts, best_value, history = state
 
     for r in range(start_restart, restarts):
         rng = random.Random(restart_seeds[r])
-        current, stats = _random_feasible(rng, n, bound, cap)
-        value = _objective_value(stats, objective)
-        occupied = set(current)
-        for proposed_value, proposed_pts in _climb(rng, current, occupied, value,
-                                                   bound, cap, objective,
-                                                   iterations):
-            evaluations += 1
-            if proposed_pts is None:
-                continue
-            key = tuple(sorted(proposed_pts))
-            if best_value is None or proposed_value < best_value:
-                best_value = proposed_value
+        current, value = _random_feasible(rng, n, bound, cap, objective)
+        for step, value, key in _climb(rng, current, value, bound, cap,
+                                       objective, iterations):
+            if best_value is None or value < best_value:
+                best_value = value
                 best_pts = key
-                history.append((evaluations, Fraction(best_value, n * n)))
-            elif proposed_value == best_value and key < best_pts:
+                history.append((r * (iterations + 1) + step + 1,
+                                Fraction(best_value, n * n)))
+            elif value == best_value and key < best_pts:
                 best_pts = key
         if ckpt_path is not None:
-            _save_checkpoint(ckpt_path, fingerprint, r + 1, evaluations,
+            _save_checkpoint(ckpt_path, fingerprint, r + 1,
                              best_pts, best_value, history)
 
     label = f"local(n={n},cap={cap},seed={seed})"
@@ -281,33 +286,31 @@ def local_search(n: int, bound: Optional[int] = None, cap: Optional[int] = None,
         objective_kind=objective,
         constraint=cap,
         method="local",
-        iterations=evaluations,
+        iterations=restarts * (iterations + 1),
         seed=seed,
         history=tuple(history),
     )
 
 
-def _climb(rng: random.Random, current, occupied, value, bound, cap,
-           objective, iterations):
-    """Yields one (value, points-or-None) item per evaluation: first the
-    start, then each proposal (None = rejected)."""
+def _climb(rng: random.Random, current, value, bound, cap, objective, iterations):
+    """Climbs from the feasible start current, whose objective is value.
+    Yields (step, value, sorted points) for the start (step 0) and for each
+    accepted proposal (its step in 1..iterations)."""
     n = len(current)
-    yield value, list(current)
-    for _ in range(iterations):
+    occupied = set(current)
+    yield 0, value, tuple(sorted(current))
+    for step in range(1, iterations + 1):
         idx = rng.randrange(n)
         candidate = (rng.randrange(bound), rng.randrange(bound))
         if candidate in occupied:
-            yield value, None
             continue
         old = current[idx]
         current[idx] = candidate
-        stats = _int_stats(current)
-        cand_value = _objective_value(stats, objective)
-        if stats[2] <= cap and cand_value < value:
+        cand_value, collinear = _score(current, objective)
+        if collinear <= cap and cand_value < value:
             occupied.discard(old)
             occupied.add(candidate)
             value = cand_value
-            yield value, list(current)
+            yield step, value, tuple(sorted(current))
         else:
             current[idx] = old
-            yield value, None

@@ -1,5 +1,6 @@
 """Command line behavior: manifests, formats, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -83,11 +84,48 @@ def test_generate_requires_out(capsys):
     assert "error:" in err
 
 
-def test_generate_requires_family_parameters(tmp_path, capsys):
-    code, _, err = run(capsys, "generate", "fermat",
-                       "--out", str(tmp_path / "f.json"))
-    assert code == 1
-    assert "--m" in err
+# the parameters each family cannot do without; random's seed comes from
+# the common --seed
+REQUIRED_PARAMS = {
+    "boroczky": ("m",), "cuspidal-cubic": ("k",), "fermat": ("m",),
+    "grid": ("a", "b"), "near-pencil": ("n",), "random": ("n",),
+    "sylvester-cubic": ("k",), "two-lines": ("m",),
+}
+
+
+@pytest.mark.parametrize("family,missing", [
+    (family, missing) for family, params in REQUIRED_PARAMS.items() for missing in params])
+def test_generate_requires_family_parameters(tmp_path, capsys, family, missing):
+    given = [arg for p in REQUIRED_PARAMS[family] if p != missing for arg in (f"--{p}", "3")]
+    code, out, err = run(capsys, "generate", family, *given,
+                         "--out", str(tmp_path / "f.json"))
+    assert (code, out) == (1, "")
+    assert err == f"error: {family} requires --{missing}\n"
+    assert not (tmp_path / "f.json").exists()
+
+
+COMMON_OPTIONS = {"-h", "--help", "--format", "--out", "--seed", "--threads"}
+SUBCOMMAND_OPTIONS = {
+    "generate": {"--a", "--b", "--bound", "--k", "--m", "--n"},
+    "analyze": set(),
+    "check": {"--all"},
+    "search": {"--n", "--g", "--cap", "--bound", "--iterations", "--restarts",
+               "--objective", "--no-prune", "--checkpoint"},
+    "render": set(),
+}
+
+
+def test_subcommand_options_are_fixed():
+    # generate's options come from the generator signatures; together with
+    # the hand-written ones they must stay exactly these
+    sub = next(a for a in cli_mod.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SUBCOMMAND_OPTIONS)
+    for name, options in SUBCOMMAND_OPTIONS.items():
+        found = {o for a in sub.choices[name]._actions for o in a.option_strings}
+        assert found == options | COMMON_OPTIONS, name
+    generate = next(a for a in sub.choices["generate"]._actions if a.dest == "name")
+    assert set(generate.choices) == set(REQUIRED_PARAMS)
 
 
 # --- analyze ---
@@ -420,6 +458,39 @@ def test_search_local_malformed_checkpoint_exits_one(tmp_path, capsys):
         assert (code, out) == (1, ""), name
         assert err == "error: " + message.format(path) + "\n", name
 
+    # so is a checkpoint of the right search with a malformed field: each
+    # message names the file and the field
+    argv = ("search", "local", "--n", "8", "--cap", "8", "--iterations", "10",
+            "--restarts", "2", "--checkpoint")
+    good = tmp_path / "good.ckpt"
+    assert run(capsys, *argv, str(good))[0] == 0
+    valid = json.loads(good.read_text())
+    fields = {
+        "history-int": ({"history": 5}, "history"),
+        "restarts-string": ({"completed_restarts": "x"}, "completed_restarts"),
+        "restarts-range": ({"completed_restarts": 9}, "completed_restarts"),
+        "best-list": ({"best": []}, "best"),
+        "restarts-missing": ({"completed_restarts": None}, "completed_restarts"),
+        "history-fraction": ({"history": [[1, "x/y"]]}, "history"),
+        "best-one-point": ({"best": {"points": [[0, 1]], "value": 3}}, "best.points"),
+        "best-value": ({"best": {**valid["best"], "value": valid["best"]["value"] - 1}},
+                       "best.value"),
+    }
+    for name, (change, field) in fields.items():
+        data = {**valid, **change}
+        if data["completed_restarts"] is None:
+            del data["completed_restarts"]
+        path = tmp_path / f"{name}.ckpt"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (1, ""), name
+        assert err.startswith(f"error: checkpoint {path}: {field} must be "), name
+    path = tmp_path / "not-json.ckpt"
+    path.write_text("not json")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: checkpoint {path} is not valid JSON: ")
+
 
 def test_search_validation(capsys):
     assert run(capsys, "search", "exhaustive", "--n", "4", "--g", "3")[0] == 1
@@ -467,6 +538,18 @@ def test_no_subcommand_is_an_error(capsys):
 
 def test_unknown_subcommand_is_an_error(capsys):
     assert run(capsys, "frobnicate")[0] == 1
+
+
+def test_key_error_from_a_handler_propagates(tmp_path, capsys, monkeypatch):
+    # no input path raises KeyError, so one is a bug and must not pass as
+    # bad input with exit code 1
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli_mod, "_cmd_analyze", broken)
+    path = gen(tmp_path, capsys, "grid", "--a", "2", "--b", "2")
+    with pytest.raises(KeyError, match="bug"):
+        main(["analyze", str(path)])
 
 
 def test_module_entry_point(tmp_path):

@@ -98,6 +98,8 @@ def test_local_search_history_tracks_the_best():
     iters = [i for i, _ in r.history]
     assert iters == sorted(iters)
     assert iters[-1] <= r.iterations
+    # each restart evaluates its start and then 250 proposals
+    assert r.iterations == 3 * (250 + 1)
 
 
 def test_local_search_result_recomputes_and_respects_cap():
@@ -138,6 +140,31 @@ def test_checkpoint_interrupt_and_resume(tmp_path, monkeypatch):
     data = json.loads(path.read_text())
     assert data["kind"] == "local-search-checkpoint"
     assert data["completed_restarts"] == 3
+
+
+# a checkpoint written after the first of two restarts by the format that
+# also stored an evaluation counter, which is now derived and ignored
+OLD_CHECKPOINT = {
+    "kind": "local-search-checkpoint",
+    "fingerprint": {"n": 8, "bound": 32, "cap": 4, "iterations": 50,
+                    "restarts": 2, "seed": 5, "objective": "incidences"},
+    "completed_restarts": 1,
+    "evaluations": 51,
+    "best": {"points": [[0, 13], [2, 9], [7, 13], [14, 13], [15, 10], [16, 23],
+                        [21, 19], [25, 25]],
+             "value": 50},
+    "history": [[1, "7/8"], [6, "53/64"], [17, "25/32"]],
+}
+
+
+def test_checkpoint_with_evaluation_counter_resumes(tmp_path):
+    path = tmp_path / "search.ckpt"
+    path.write_text(json.dumps(OLD_CHECKPOINT))
+    args = dict(n=8, cap=4, iterations=50, seed=5, restarts=2)
+    assert local_search(**args, checkpoint=str(path)) == local_search(**args)
+    data = json.loads(path.read_text())
+    assert data["completed_restarts"] == 2
+    assert "evaluations" not in data
 
 
 def test_checkpoint_from_other_search_is_rejected(tmp_path):
