@@ -150,9 +150,10 @@ _CHECKPOINT_KIND = "local-search-checkpoint"
 
 def _load_checkpoint(path: Path, fp: Dict):
     """(completed restarts, best points, best value, history) from the
-    checkpoint at path, or None if there is none.  Every field is checked
-    against the search's fingerprint first, and the best points are
-    re-scored; keys it does not read are ignored."""
+    checkpoint at path, or None if there is none.  Its kind and fingerprint
+    must match the search; then every field read is checked, and the best
+    points are re-scored.  Other keys, such as the evaluation count that
+    older checkpoints stored, are ignored."""
     if not path.exists():
         return None
     try:

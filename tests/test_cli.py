@@ -475,6 +475,10 @@ def test_search_local_malformed_checkpoint_exits_one(tmp_path, capsys):
         "best-one-point": ({"best": {"points": [[0, 1]], "value": 3}}, "best.points"),
         "best-value": ({"best": {**valid["best"], "value": valid["best"]["value"] - 1}},
                        "best.value"),
+        "best-repeated": ({"best": {**valid["best"], "points": valid["best"]["points"][:7]
+                                    + valid["best"]["points"][:1]}}, "best.points"),
+        "history-zero": ({"history": [[0, "1/2"]]}, "history"),
+        "history-late": ({"history": [[2 * (10 + 1) + 1, "1/2"]]}, "history"),
     }
     for name, (change, field) in fields.items():
         data = {**valid, **change}
