@@ -14,10 +14,10 @@ import pytest
 import linespectra.cli as cli_mod
 import linespectra.projective as projective_mod
 from linespectra.cli import main
-from linespectra.constructions import boroczky, grid, random_config
+from linespectra.constructions import boroczky, fermat, grid, random_config, sylvester_cubic
 from linespectra.fields import quadratic_field
 from linespectra.inequalities import InequalityReport
-from linespectra.projective import Configuration
+from linespectra.projective import Configuration, apply_projective_map
 from linespectra.serialization import load_configuration, save_configuration
 
 
@@ -175,13 +175,40 @@ def test_analyze_threads_do_not_change_bytes(tmp_path, capsys):
 # sha256 of the stdout of `command stem.json`, run from the input's
 # directory.  A change that only makes the program faster keeps these bytes;
 # one that changes them on purpose records the new digests.
+def _sqrt2_image(n, seed):
+    """random_config(n, seed) read in Q(sqrt 2) and moved by an invertible
+    matrix with sqrt 2 entries (determinant 2 sqrt 2 + 5)."""
+    field = quadratic_field(2)
+    s = field.sqrt_gen()
+    embedded = Configuration(field, tuple(
+        [field.from_rational(c.coeffs[0]) for c in p.coords]
+        for p in random_config(n, seed=seed).points))
+    return apply_projective_map(embedded, [[s, 1, 0], [0, s, 1], [1, 0, s + 2]])
+
+
 PINNED_STDOUT = {
     ("analyze", "random300"): "d5843410d45ed4604e6961f0d69c72ec544ed2cc65b98a196aea723eb9da45dc",
     ("analyze", "grid6"): "9e2aaead56831697f664ff5ccf055a3851b72d9480f56479af5b54cf41a91ef8",
     ("check", "random300"): "71f43bc7173cb35b72d3801808d109cb26e7c38695a62190a86e1b3ca70a2610",
     ("check", "grid6"): "118c828f737b48f02cb249069c46fbd8ce9d0fbe98fce8de8281e60c3a85ab5a",
+    ("analyze", "boroczky12"): "e6491bd9c41819d0ed6664d22e489081eedb703428347a5e03d2a6f36fb131e8",
+    ("check", "boroczky12"): "2752ea8b6d239fa24f1b872aedbd44516268b0dab64b51b4a958e1670d697be7",
+    ("analyze", "cubic6"): "19594cc8283150557f7374a655eee2955ead9810e7e6b64721e05655c4640669",
+    ("check", "cubic6"): "c45a30f6d9c4186b883ee7dedfb742782d2df3b8e552a43c0bd70fb3cf85c743",
+    ("analyze", "fermat5"): "20dd0483431ae4b84d4ae2523f73f2d0a38c28b531648d6e199b68277c2e6b67",
+    ("check", "fermat5"): "b6cd554692daf599c0e8cfac7998080d991cf03d8a0bf946590657883dd6c1f0",
+    ("analyze", "sqrt2image40"): "a2fb2f9136f92aa275a2bf9b2c7b9a812fdf49ceb14a47b56790adea4620f56f",
+    ("check", "sqrt2image40"): "5dc7bfd8d9c27d99253a9721cf455b709be9b65732965b6bc9017bca0e67ed2d",
 }
-PINNED_INPUTS = {"random300": lambda: random_config(300, seed=11), "grid6": lambda: grid(6, 6)}
+# The extension-field inputs: each cyclotomic family and a Q(sqrt 2) image.
+PINNED_INPUTS = {
+    "random300": lambda: random_config(300, seed=11),
+    "grid6": lambda: grid(6, 6),
+    "boroczky12": lambda: boroczky(12),
+    "cubic6": lambda: sylvester_cubic(6),
+    "fermat5": lambda: fermat(5),
+    "sqrt2image40": lambda: _sqrt2_image(40, seed=13),
+}
 
 
 @pytest.mark.parametrize("command,stem", sorted(PINNED_STDOUT))
