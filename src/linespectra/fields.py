@@ -530,6 +530,8 @@ def _screen(field: FieldDescriptor):
         return p, (1,)
     if field.kind == QUADRATIC:
         d = field.d
+        if d == -1:  # no square root mod p = 3 (mod 4); sqrt(-1) has order 4
+            return _screen(cyclotomic_field(4))
         p = _SCREEN_START + 3  # make p = 3 (mod 4) so sqrt is a single pow
         while p % 4 != 3:
             p += 1
@@ -551,6 +553,41 @@ def _screen(field: FieldDescriptor):
                     images[i] = images[i - 1] * root % p
                 return p, tuple(images)
         p += N
+
+
+def _evaluation(field: FieldDescriptor, vectors) -> tuple:
+    """(m, basis): a modulus m and the images mod m of the power basis
+    1, x, ..., x^(deg-1) under x -> r, chosen so that reducing a 3x3
+    determinant of triples of `vectors` modulo m is exact: it gives 0
+    exactly when the determinant is 0.  Over Q(sqrt d) or Q(zeta_N).
+
+    Let R = Z[x]/(Phi), where Phi = Phi_N or x^2 - d; points are stored as
+    integer coefficient vectors in R.  Take r in Z and m = |Phi(r)|.  Then
+    ev: R -> Z/m, x -> r, is a surjective ring map, so its kernel I has
+    index m.  For D != 0 in R, [R : DR] = |N(D)|, because the norm is the
+    determinant of multiplication by D.  So if ev(D) = 0, then DR is in I,
+    and m divides N(D).
+
+    Every embedding sigma satisfies |sigma(c)| <= ||c||, with
+    ||c|| = sum |c_t| over Q(zeta_N), and ||c|| = |c_0| + |c_1| s,
+    s = isqrt(|d|) + 1, over Q(sqrt d).  Let L be the largest ||c|| over
+    `vectors`.  A determinant D of three points then has
+    |sigma(D)| <= 6 L^3, so |N(D)| <= (6 L^3)^deg.  Choose r so that
+    m > (6 L^3)^deg: over Q(zeta_N), r = 6 L^3 + 2, since
+    |Phi_N(r)| = prod |r - zeta| >= (r - 1)^deg (this covers N = 1 and 2
+    too); over Q(sqrt d), r = 6 L^3 + s + 1, since then
+    r^2 - d > (r - s)(r + s) > (6 L^3)^2.  Hence ev(D) = 0 (mod m) exactly
+    when D = 0."""
+    if field.kind == QUADRATIC:
+        s = math.isqrt(abs(field.d)) + 1
+        bound = max(abs(a) + abs(b) * s for a, b in vectors)
+        r = 6 * bound ** 3 + s + 1
+        m = r * r - field.d
+    else:
+        bound = max(sum(map(abs, v)) for v in vectors)
+        r = 6 * bound ** 3 + 2
+        m = abs(sum(c * r ** t for t, c in enumerate(cyclotomic_polynomial(field.N))))
+    return m, tuple(pow(r, t, m) for t in range(field.degree))
 
 
 def _nth_root_mod(N: int, p: int):

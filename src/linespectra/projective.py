@@ -16,14 +16,17 @@ float (_slope_screen): on float affine coordinates when every point has
 z = +-1 and integer coordinates below 2**52 in magnitude, which are exact
 (_affine_slopes), and in the affine chart of point i otherwise
 (_projective_slopes).  Over Q(sqrt d) and Q(zeta_N) the key is the line's
-image in P^2(GF(p)) (_image_screen).  Either is only a hash key: a row whose
-keys are all distinct holds only 2-point lines, which is exact, and every
-key that repeats is certified with an exact incidence test before it
-counts.  A row with a failed certificate, or one the screen cannot key
-(over Q, a row point with z = 0 or a slope too large for a double;
-elsewhere, a vanishing image mod p), is keyed again by the exact canonical
-form (over Q, _primitive_cross on scalar triples).  No float reaches a
-count.
+image in P^2(GF(p)), scaled with one modular inverse per row (_image_screen,
+_inverses).  Either is only a hash key: a row whose keys are all distinct
+holds only 2-point lines, which is exact, and every key that repeats is
+certified with an exact incidence test before it counts: over Q on the
+integers, elsewhere on evaluations modulo an integer so large that the
+evaluation of a determinant vanishes only with the determinant
+(fields._evaluation, _on_line_mod).  A row with a failed certificate, or
+one the screen cannot key (over Q, a row point with z = 0 or a slope too
+large for a double; elsewhere, a vanishing image mod p), is keyed again by
+the exact canonical form (over Q, _primitive_cross on scalar triples).  No
+float reaches a count.
 _fold_rows turns the rows into line counts and degrees, for spectrum and
 for search.  spanned_lines folds the same rows into each line's members,
 keys each line once by the exact form and wraps it in a LineKey.
@@ -39,6 +42,7 @@ import operator
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from typing import Dict, FrozenSet
 
 from .fields import (
@@ -47,6 +51,7 @@ from .fields import (
     FieldMismatchError,
     RATIONAL,
     _adjugate,
+    _evaluation,
     _mul_intvec,
     _screen,
     rational_field,
@@ -382,6 +387,29 @@ def _slope_screen(items):
     return partial(_projective_slopes, items), _scalar_cross, _on_scalar_line
 
 
+def _on_line_mod(point, line, modulus) -> bool:
+    """The certificate over Q(sqrt d) and Q(zeta_N): exact incidence from
+    evaluations mod m (fields._evaluation).  For the evaluations of a point
+    w and of the cross product u x v, point . line is the evaluation of the
+    determinant of w, u and v, which is 0 mod m exactly when the
+    determinant is 0."""
+    return not (point[0] * line[0] + point[1] * line[1] + point[2] * line[2]) % modulus
+
+
+def _inverses(values, p):
+    """The inverses of nonzero residues mod p by one pow (Montgomery 1987):
+    invert the product of all of them, then peel each factor off by the
+    prefix products, at three products mod p per value."""
+    prefix = list(accumulate(values, lambda a, b: a * b % p))
+    inv = pow(prefix[-1], -1, p)
+    out = [0] * len(values)
+    for t in range(len(values) - 1, 0, -1):
+        out[t] = inv * prefix[t - 1] % p
+        inv = inv * values[t] % p
+    out[0] = inv
+    return out
+
+
 def _image_screen(config: Configuration):
     """The row screen over Q(sqrt d) or Q(zeta_N): (row_keys, cross, on_line).
 
@@ -389,32 +417,41 @@ def _image_screen(config: Configuration):
     points' GF(p) images, scaled so its first nonzero coordinate is 1.  The
     screen is a ring homomorphism, so the points of one exact line through
     point i never get two different keys.  A row in which some product
-    vanishes gets None: it takes the exact key.  One pow per pair replaces
-    the norm products of _canonical: spectrum of sylvester_cubic(20) takes
-    0.06 s against 0.8 s with the exact key (Python 3.11, one core of a
-    2-vCPU Xeon VM)."""
+    vanishes gets None: it takes the exact key.  The scalings of a row take
+    one pow for the whole row (_inverses) in place of the norm products of
+    _canonical.
+
+    A repeated key is certified on evaluations mod m (fields._evaluation):
+    cross evaluates the two points and takes their cross product, and
+    on_line is _on_line_mod, both on plain integers.  Each point is
+    evaluated once, when a certificate first needs it, and kept by the
+    identity of its vectors, which the kernel's items hold for the whole
+    run.  Neither builds a field product, and both are exact."""
     fld = config.field
     prime, _ = _screen(fld)
     images = [p.images for p in config.points]
+    modulus, basis = _evaluation(fld, [v for p in config.points for v in p.intvecs])
+    values: Dict = {}
 
-    def screen_key(a, b):
-        x = (a[1] * b[2] - a[2] * b[1]) % prime
-        y = (a[2] * b[0] - a[0] * b[2]) % prime
-        z = (a[0] * b[1] - a[1] * b[0]) % prime
-        if x:
-            inv = pow(x, -1, prime)
-            return 1, y * inv % prime, z * inv % prime
-        if y:
-            return 0, 1, z * pow(y, -1, prime) % prime
-        return (0, 0, 1) if z else None
+    def value(point):
+        ev = values.get(id(point))
+        if ev is None:
+            ev = values[id(point)] = tuple(sum(map(operator.mul, v, basis)) % modulus
+                                           for v in point)
+        return ev
 
     def row_keys(i):
-        u = images[i]
-        keys = [screen_key(u, v) for v in images[i + 1:]]
-        return None if None in keys else keys
+        u0, u1, u2 = images[i]
+        crosses = [((u1 * c - u2 * b) % prime, (u2 * a - u0 * c) % prime,
+                    (u0 * b - u1 * a) % prime) for a, b, c in images[i + 1:]]
+        pivots = [x or y or z for x, y, z in crosses]
+        if 0 in pivots:
+            return None
+        return [(x and 1, y * inv % prime, z * inv % prime)
+                for (x, y, z), inv in zip(crosses, _inverses(pivots, prime))]
 
-    return (row_keys, lambda u, v: _cross(fld, u, v),
-            lambda point, line: _on_line(fld, point, line))
+    return (row_keys, lambda u, v: _scalar_cross(value(u), value(v)),
+            lambda point, line: _on_line_mod(value(point), line, modulus))
 
 
 def _keyed_items(config: Configuration):

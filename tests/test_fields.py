@@ -15,7 +15,7 @@ from linespectra import (
     quadratic_field,
     rational_field,
 )
-from linespectra.fields import _adjugate, _galois, _mul_intvec, _unit_tower
+from linespectra.fields import _adjugate, _galois, _is_prime, _mul_intvec, _screen, _unit_tower
 
 Q = rational_field()
 Q3 = cyclotomic_field(3)
@@ -174,6 +174,13 @@ def test_degenerate_cyclotomic_fields():
         assert e.conjugate() == e
         assert e.is_real() and F.zeta().is_real()
         assert repr(e) == "-3/7" and repr(F.zero()) == "0"
+
+
+@pytest.mark.parametrize("d", [-7, -3, -2, -1, 2, 3, 5])
+def test_quadratic_screen_maps_sqrt_d_to_a_square_root_of_d(d):
+    # -1 has no square root mod p = 3 (mod 4), the primes tried for other d
+    p, (one, root) = _screen(quadratic_field(d))
+    assert _is_prime(p) and one == 1 and root * root % p == d % p
 
 
 def test_field_descriptor_validation():

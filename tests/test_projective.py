@@ -1,6 +1,7 @@
 """Exact projective primitives and the line spectrum machinery."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -21,6 +22,7 @@ from linespectra.constructions import (
 from linespectra import projective
 from linespectra.fields import (
     QUADRATIC,
+    _evaluation,
     _is_prime,
     _nth_root_mod,
     cyclotomic_field,
@@ -46,6 +48,8 @@ from linespectra.projective import (
 
 Q = rational_field()
 Q2 = quadratic_field(2)
+Qm3 = quadratic_field(-3)
+Z2 = cyclotomic_field(2)
 Z5 = cyclotomic_field(5)
 
 
@@ -333,6 +337,8 @@ ORACLE_CASES = {
     "Q2-near-pencil": lambda: _near_pencil(Q2, 7),
     "Q2-moved-grid": lambda: _moved_grid(Q2, 3, 4),
     "Q2-embedded-grid": lambda: _embed(Q2, grid(4, 5)),
+    "Qm3-moved-grid": lambda: _moved_grid(Qm3, 3, 4),
+    "Z2-moved-grid": lambda: _moved_grid(Z2, 3, 4),
     "Z5-two-points": lambda: _two_points(Z5),
     "Z5-all-collinear": lambda: _all_collinear(Z5, 5),
     "Z5-near-pencil": lambda: _near_pencil(Z5, 6),
@@ -355,8 +361,8 @@ def test_spectrum_matches_oracle_lines(name):
 def _tiny_screen(fld):
     # the smallest screen each non-rational oracle field admits
     if fld.kind == QUADRATIC:
-        assert fld.d == 2
-        return 7, (1, 3)  # 3 * 3 = 2 (mod 7)
+        # 3 * 3 = 2 and 2 * 2 = -3 (mod 7)
+        return 7, {2: (1, 3), -3: (1, 2)}[fld.d]
     N = fld.N
     p = next(p for p in itertools.count(N + 1, N) if _is_prime(p) and _nth_root_mod(N, p))
     root = _nth_root_mod(N, p)
@@ -400,7 +406,144 @@ def test_spectrum_over_tiny_screen_matches_oracle_lines(monkeypatch):
     # rows with more lines than the 8 through a point of P^2(GF(7))
     monkeypatch.setattr(projective, "_screen", _tiny_screen)
     names = [name for name in sorted(ORACLE_CASES) if not name.startswith("Q-")]
-    _assert_oracle_with_fallbacks(monkeypatch, names, "_canonical", "_on_line")
+    _assert_oracle_with_fallbacks(monkeypatch, names, "_canonical", "_on_line_mod")
+
+
+def test_oracle_and_kernel_keep_separate_incidence_tests(monkeypatch):
+    # the oracle decides membership by collinear, never by the kernel's
+    # certificate, and the kernel over an extension field never calls the
+    # oracle's _on_line
+    def forbidden(*args):
+        raise AssertionError("called across the oracle boundary")
+
+    for name in sorted(ORACLE_CASES):
+        if name.startswith("Q-"):
+            continue
+        config = ORACLE_CASES[name]()
+        with monkeypatch.context() as m:
+            m.setattr(projective, "_on_line_mod", forbidden)
+            lines = oracle_spanned_lines(config)
+        with monkeypatch.context() as m:
+            m.setattr(projective, "_on_line", forbidden)
+            assert spectrum(config) == spectrum_from_lines(config.n, lines), name
+            assert list(spanned_lines(config).items()) == list(lines.items()), name
+
+
+def _pairwise_keys(images, i, prime, branches):
+    # row i keyed pair by pair, one pow per pair, counting each branch
+    keys = []
+    a = images[i]
+    for b in images[i + 1:]:
+        x = (a[1] * b[2] - a[2] * b[1]) % prime
+        y = (a[2] * b[0] - a[0] * b[2]) % prime
+        z = (a[0] * b[1] - a[1] * b[0]) % prime
+        if x:
+            branches["x"] += 1
+            inv = pow(x, -1, prime)
+            keys.append((1, y * inv % prime, z * inv % prime))
+        elif y:
+            branches["y"] += 1
+            keys.append((0, 1, z * pow(y, -1, prime) % prime))
+        elif z:
+            branches["z"] += 1
+            keys.append((0, 0, 1))
+        else:
+            branches["none"] += 1
+            return None
+    return keys
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+def test_batched_row_keys_match_pairwise_inverses(monkeypatch, tiny):
+    # one inverse per row gives each pair the key of its own pow; the tiny
+    # screens reach pairs with x = 0, with x = y = 0, and rows with None
+    if tiny:
+        monkeypatch.setattr(projective, "_screen", _tiny_screen)
+    branches = Counter()
+    for name in sorted(ORACLE_CASES):
+        if name.startswith("Q-"):
+            continue
+        config = ORACLE_CASES[name]()
+        row_keys, _, _ = projective._image_screen(config)
+        prime, _ = projective._screen(config.field)
+        images = [p.images for p in config.points]
+        for i in range(config.n - 1):
+            assert row_keys(i) == _pairwise_keys(images, i, prime, branches), (name, i)
+    assert branches["x"] > 0
+    if tiny:
+        assert branches["y"] > 0 and branches["z"] > 0 and branches["none"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(n for n in ORACLE_CASES if not n.startswith("Q-")))
+def test_extension_rows_take_one_inverse_and_no_field_product(monkeypatch, name):
+    # over Q(sqrt d) and Q(zeta_N) each row inverts once, and certificates
+    # run on evaluations: spectrum builds no field product
+    calls = Counter()
+
+    def counting_pow(base, exp, mod=None):
+        calls["inverse"] += exp == -1
+        return pow(base, exp, mod)
+
+    def counting(name, original):
+        def spy(*args):
+            calls[name] += 1
+            return original(*args)
+        return spy
+
+    config = ORACLE_CASES[name]()
+    lines = oracle_spanned_lines(config)
+    monkeypatch.setattr(projective, "pow", counting_pow, raising=False)
+    for spied in ("_mul_intvec", "_on_line_mod"):
+        monkeypatch.setattr(projective, spied, counting(spied, getattr(projective, spied)))
+    assert spectrum(config) == spectrum_from_lines(config.n, lines)
+    assert calls["_mul_intvec"] == 0
+    assert 0 < calls["inverse"] <= config.n - 1
+    if max(map(len, lines.values())) > 2:
+        assert calls["_on_line_mod"] > 0
+
+
+CERTIFICATE_FIELDS = ([cyclotomic_field(N) for N in (1, 2, 3, 4, 5, 8, 12, 15, 60, 80)]
+                      + [quadratic_field(d) for d in (-3, -1, 2, 5)])
+
+
+def _norm_bound(fld, vec):
+    # the bound ||c|| on |sigma(c)| over every embedding sigma
+    if fld.kind == QUADRATIC:
+        return abs(vec[0]) + abs(vec[1]) * (math.isqrt(abs(fld.d)) + 1)
+    return sum(map(abs, vec))
+
+
+@settings(deadline=None, max_examples=80)
+@given(fld=st.sampled_from(CERTIFICATE_FIELDS), collinear_third=st.booleans(),
+       data=st.data())
+def test_certificate_agrees_with_exact_incidence(fld, collinear_third, data):
+    # the certificate of the third point on the line through the first two
+    # is _on_line(_cross), on random triples and on w = alpha u + beta v
+    coeff = st.integers(-3, 3) | st.integers(-2**12, 2**12)
+
+    def element():
+        return fld.element(data.draw(st.lists(coeff, min_size=fld.degree,
+                                              max_size=fld.degree)))
+
+    u, v = [element() for _ in range(3)], [element() for _ in range(3)]
+    if collinear_third:
+        alpha, beta = element(), element()
+        w = [alpha * a + beta * b for a, b in zip(u, v)]
+    else:
+        w = [element() for _ in range(3)]
+    assume(all(any(t) for t in (u, v, w)))
+    points = [ProjectivePoint(t, fld) for t in (u, v, w)]
+    assume(len(set(points)) == 3)
+    config = Configuration(fld, tuple(points))
+    vectors = [vec for p in points for vec in p.intvecs]
+    modulus, _ = _evaluation(fld, vectors)
+    assert modulus > (6 * max(_norm_bound(fld, vec) for vec in vectors) ** 3) ** fld.degree
+    _, cross, on_line = projective._image_screen(config)
+    pu, pv, pw = (p.intvecs for p in points)
+    exact = projective._on_line(fld, pw, projective._cross(fld, pu, pv))
+    assert on_line(pw, cross(pu, pv)) == exact
+    if collinear_third:
+        assert exact
 
 
 def test_spectrum_over_q_slope_screen_matches_oracle_lines(monkeypatch):
