@@ -424,9 +424,10 @@ def _image_screen(config: Configuration):
     A repeated key is certified on evaluations mod m (fields._evaluation):
     cross evaluates the two points and takes their cross product, and
     on_line is _on_line_mod, both on plain integers.  Each point is
-    evaluated once, when a certificate first needs it, and kept by the
-    identity of its vectors, which the kernel's items hold for the whole
-    run.  Neither builds a field product, and both are exact."""
+    evaluated once, when a certificate first needs it, and kept with its
+    vectors under their id(), which no other object can take while the
+    entry holds them.  Neither builds a field product, and both are
+    exact."""
     fld = config.field
     prime, _ = _screen(fld)
     images = [p.images for p in config.points]
@@ -434,11 +435,11 @@ def _image_screen(config: Configuration):
     values: Dict = {}
 
     def value(point):
-        ev = values.get(id(point))
-        if ev is None:
-            ev = values[id(point)] = tuple(sum(map(operator.mul, v, basis)) % modulus
-                                           for v in point)
-        return ev
+        entry = values.get(id(point))
+        if entry is None:
+            entry = values[id(point)] = point, tuple(
+                sum(map(operator.mul, v, basis)) % modulus for v in point)
+        return entry[1]
 
     def row_keys(i):
         u0, u1, u2 = images[i]

@@ -401,9 +401,11 @@ def _assert_oracle_with_fallbacks(monkeypatch, names, exact_key, on_line):
 
 
 def test_spectrum_over_tiny_screen_matches_oracle_lines(monkeypatch):
-    # with p in 5..17 the fallback rows that no benchmark input reaches run:
+    # with p in 3..17 the fallback rows that no benchmark input reaches run:
     # the moved grids have pairs with a zero image, and the embedded grid has
-    # rows with more lines than the 8 through a point of P^2(GF(7))
+    # rows with more lines than the 8 through a point of P^2(GF(7)).  Screen
+    # collisions fail the certificate on evaluations, _on_line_mod, which
+    # is what the kernel runs over these fields in place of _on_line
     monkeypatch.setattr(projective, "_screen", _tiny_screen)
     names = [name for name in sorted(ORACLE_CASES) if not name.startswith("Q-")]
     _assert_oracle_with_fallbacks(monkeypatch, names, "_canonical", "_on_line_mod")
