@@ -6,122 +6,44 @@ exactly.  The package computes line spectra, generates the classical
 extremal configurations, checks the incidence identities and inequalities
 with exact slack, and searches small integer grids for incidence-minimal
 sets.
+
+The public names load lazily (PEP 562): `linespectra.spectrum` or
+`from linespectra import spectrum` imports only the submodules that name
+needs, so a CLI command loads only what it runs.
 """
 
-from .constructions import (
-    ConstructionError,
-    GENERATORS,
-    boroczky,
-    cuspidal_cubic,
-    expected_spectrum,
-    fermat,
-    grid,
-    near_pencil,
-    random_config,
-    sylvester_cubic,
-    two_lines,
-)
-from .fields import (
-    FieldDescriptor,
-    FieldElement,
-    FieldError,
-    FieldMismatchError,
-    cyclotomic_field,
-    cyclotomic_polynomial,
-    euler_phi,
-    quadratic_field,
-    rational_field,
-)
-from .inequalities import (
-    ALPHA,
-    BETA,
-    PROVEN_KINDS,
-    InequalityReport,
-    all_reports,
-    compare_with_quadratic,
-    exit_code_for,
-    run_checks,
-    violations,
-)
-from .projective import (
-    Configuration,
-    DuplicatePointError,
-    GeometryError,
-    InternalError,
-    LineKey,
-    LineSpectrum,
-    ProjectivePoint,
-    apply_projective_map,
-    collinear,
-    line_through,
-    oracle_spanned_lines,
-    spanned_lines,
-    spectrum,
-)
-from .render import RenderError, render_svg
-from .search import SearchError, SearchRecord, exhaustive_search, local_search
-from .serialization import (
-    SerializationError,
-    config_from_json,
-    config_to_json,
-    load_configuration,
-    save_configuration,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHA",
-    "BETA",
-    "Configuration",
-    "ConstructionError",
-    "DuplicatePointError",
-    "FieldDescriptor",
-    "FieldElement",
-    "FieldError",
-    "FieldMismatchError",
-    "GENERATORS",
-    "GeometryError",
-    "InequalityReport",
-    "InternalError",
-    "LineKey",
-    "LineSpectrum",
-    "PROVEN_KINDS",
-    "ProjectivePoint",
-    "RenderError",
-    "SearchError",
-    "SearchRecord",
-    "SerializationError",
-    "all_reports",
-    "apply_projective_map",
-    "boroczky",
-    "collinear",
-    "compare_with_quadratic",
-    "config_from_json",
-    "config_to_json",
-    "cuspidal_cubic",
-    "cyclotomic_field",
-    "cyclotomic_polynomial",
-    "euler_phi",
-    "exhaustive_search",
-    "exit_code_for",
-    "expected_spectrum",
-    "fermat",
-    "grid",
-    "line_through",
-    "load_configuration",
-    "local_search",
-    "near_pencil",
-    "oracle_spanned_lines",
-    "quadratic_field",
-    "random_config",
-    "rational_field",
-    "render_svg",
-    "run_checks",
-    "save_configuration",
-    "spanned_lines",
-    "spectrum",
-    "sylvester_cubic",
-    "two_lines",
-    "violations",
-]
+_EXPORTS = {
+    "constructions": "ConstructionError GENERATORS boroczky cuspidal_cubic expected_spectrum "
+                     "fermat grid near_pencil random_config sylvester_cubic two_lines",
+    "fields": "FieldDescriptor FieldElement FieldError FieldMismatchError cyclotomic_field "
+              "cyclotomic_polynomial euler_phi quadratic_field rational_field",
+    "inequalities": "ALPHA BETA PROVEN_KINDS InequalityReport all_reports "
+                    "compare_with_quadratic exit_code_for run_checks violations",
+    "projective": "Configuration DuplicatePointError GeometryError InternalError LineKey "
+                  "LineSpectrum ProjectivePoint apply_projective_map collinear line_through "
+                  "oracle_spanned_lines spanned_lines spectrum",
+    "render": "RenderError render_svg",
+    "search": "SearchError SearchRecord exhaustive_search local_search",
+    "serialization": "SerializationError config_from_json config_to_json load_configuration "
+                     "save_configuration",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

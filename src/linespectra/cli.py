@@ -10,24 +10,23 @@ informational checks never affect the exit code.
 The --threads flag is accepted (it must be at least 1) and ignored: the pair
 enumeration runs in one thread.  It never changes an output byte, so it is
 excluded from the echoed argument map.
+
+A command imports what only it runs (constructions, search, render) in its
+handler or parser branch, so analyze and check load only serialization,
+fields, projective and inequalities.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from .constructions import GENERATORS, expected_spectrum
 from .inequalities import exit_code_for, run_checks, violations
 from .projective import InternalError, spectrum
-from .render import _render
-from .search import OBJECTIVES, exhaustive_search, local_search
 from .serialization import (
-    config_to_json,
     dumps,
     field_to_json,
     frac_str,
@@ -59,18 +58,26 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="accepted for compatibility and ignored (must be >= 1)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given `command`, one in which
+    generate and search take their arguments only if they are `command`:
+    their options need the constructions and search modules."""
     parser = _Parser(prog="linespectra",
                      description="Exact spanned-line spectra of planar "
                                  "point configurations.")
     sub = parser.add_subparsers(dest="command")
 
     gen = sub.add_parser("generate", help="write a named configuration as JSON")
-    gen.add_argument("name", choices=sorted(name.replace("_", "-") for name in GENERATORS))
-    params = {p for family in GENERATORS.values() for p in inspect.signature(family).parameters}
-    for pname in sorted(params - {"seed"}):
-        gen.add_argument(f"--{pname}", type=int)
-    _add_common(gen)
+    if command in (None, "generate"):
+        import inspect
+
+        from .constructions import GENERATORS
+        gen.add_argument("name", choices=sorted(name.replace("_", "-") for name in GENERATORS))
+        params = {p for family in GENERATORS.values()
+                  for p in inspect.signature(family).parameters}
+        for pname in sorted(params - {"seed"}):
+            gen.add_argument(f"--{pname}", type=int)
+        _add_common(gen)
     gen.set_defaults(handler=_cmd_generate)
 
     ana = sub.add_parser("analyze", help="compute the line spectrum of a configuration file")
@@ -87,18 +94,20 @@ def build_parser() -> argparse.ArgumentParser:
     chk.set_defaults(handler=_cmd_check)
 
     sea = sub.add_parser("search", help="look for configurations with few incidences")
-    sea.add_argument("mode", choices=("exhaustive", "local"))
-    sea.add_argument("--n", type=int, required=True)
-    sea.add_argument("--g", type=int, help="grid side (exhaustive)")
-    sea.add_argument("--cap", type=int, help="maximum collinearity allowed")
-    sea.add_argument("--bound", type=int, help="coordinate bound (local)")
-    sea.add_argument("--iterations", type=int, default=2000)
-    sea.add_argument("--restarts", type=int, default=4)
-    sea.add_argument("--objective", choices=OBJECTIVES, default="incidences")
-    sea.add_argument("--no-prune", action="store_true",
-                     help="disable symmetry pruning (exhaustive)")
-    sea.add_argument("--checkpoint", help="checkpoint file for resumable local search")
-    _add_common(sea)
+    if command in (None, "search"):
+        from .search import OBJECTIVES
+        sea.add_argument("mode", choices=("exhaustive", "local"))
+        sea.add_argument("--n", type=int, required=True)
+        sea.add_argument("--g", type=int, help="grid side (exhaustive)")
+        sea.add_argument("--cap", type=int, help="maximum collinearity allowed")
+        sea.add_argument("--bound", type=int, help="coordinate bound (local)")
+        sea.add_argument("--iterations", type=int, default=2000)
+        sea.add_argument("--restarts", type=int, default=4)
+        sea.add_argument("--objective", choices=OBJECTIVES, default="incidences")
+        sea.add_argument("--no-prune", action="store_true",
+                         help="disable symmetry pruning (exhaustive)")
+        sea.add_argument("--checkpoint", help="checkpoint file for resumable local search")
+        _add_common(sea)
     sea.set_defaults(handler=_cmd_search)
 
     ren = sub.add_parser("render", help="draw a real configuration as SVG")
@@ -123,6 +132,9 @@ def _manifest(command: str, arguments: Dict, result) -> str:
 # Handlers.
 
 def _cmd_generate(args) -> int:
+    import inspect
+
+    from .constructions import GENERATORS, expected_spectrum
     if not args.out:
         raise CliError("generate requires --out for the configuration file")
     pyname = args.name.replace("-", "_")
@@ -199,6 +211,7 @@ def _conjecture_reference(record) -> Dict:
 
 
 def _cmd_search(args) -> int:
+    from .search import exhaustive_search, local_search
     if args.format == "csv":
         raise CliError("search emits JSON only")
     if args.cap is None:
@@ -231,6 +244,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import _render
     if not args.out:
         raise CliError("render requires --out for the SVG file")
     config = load_configuration(args.input)
@@ -245,7 +259,8 @@ def _cmd_render(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         handler = getattr(args, "handler", None)

@@ -29,7 +29,7 @@ integer vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
@@ -117,30 +117,29 @@ def cyclotomic_polynomial(n: int):
     return tuple(num)
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
-    """One of Q, Q(sqrt d) with d squarefree (d not in {0, 1}), or Q(zeta_N)."""
+class FieldDescriptor(namedtuple("FieldDescriptor", "kind d N")):
+    """One of Q, Q(sqrt d) with d squarefree (d not in {0, 1}), or Q(zeta_N).
+    An immutable (kind, d, N) tuple."""
 
-    kind: str
-    d: int | None = None
-    N: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == RATIONAL:
-            if self.d is not None or self.N is not None:
+    def __new__(cls, kind: str, d: int | None = None, N: int | None = None):
+        if kind == RATIONAL:
+            if d is not None or N is not None:
                 raise FieldError("rational field takes no parameters")
-        elif self.kind == QUADRATIC:
-            if self.N is not None or self.d is None:
+        elif kind == QUADRATIC:
+            if N is not None or d is None:
                 raise FieldError("quadratic field wants d only")
-            if self.d in (0, 1) or not _is_squarefree(self.d):
-                raise FieldError(f"d must be squarefree and not 0/1, got {self.d}")
-        elif self.kind == CYCLOTOMIC:
-            if self.d is not None or self.N is None:
+            if d in (0, 1) or not _is_squarefree(d):
+                raise FieldError(f"d must be squarefree and not 0/1, got {d}")
+        elif kind == CYCLOTOMIC:
+            if d is not None or N is None:
                 raise FieldError("cyclotomic field wants N only")
-            if self.N < 1:
-                raise FieldError(f"N must be >= 1, got {self.N}")
+            if N < 1:
+                raise FieldError(f"N must be >= 1, got {N}")
         else:
-            raise FieldError(f"unknown field kind {self.kind!r}")
+            raise FieldError(f"unknown field kind {kind!r}")
+        return tuple.__new__(cls, (kind, d, N))
 
     @property
     def degree(self) -> int:

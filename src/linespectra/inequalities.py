@@ -14,9 +14,9 @@ on the Fermat configurations is visible rather than suppressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List
 
 from .fields import FieldElement, quadratic_field
 from .projective import LineSpectrum
@@ -31,19 +31,11 @@ PROVEN_KINDS = frozenset({"identity", "theorem", "corollary"})
 RICH_LINE_RANGE = range(5, 11)
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    name: str
-    kind: str
-    applicable: bool
-    applicability_reason: str
-    relation: str
-    lhs: Fraction
-    rhs: Fraction
-    slack: Fraction
-    satisfied: bool
-    tight: bool
-    strict: bool
+# One evaluated statement: exact Fraction lhs, rhs and slack, and the
+# booleans derived from them.
+InequalityReport = namedtuple("InequalityReport", (
+    "name kind applicable applicability_reason relation lhs rhs slack "
+    "satisfied tight strict"))
 
 
 def _report(name: str, kind: str, applicable: bool, reason: str, relation: str,

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field as dataclass_field
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -242,23 +242,21 @@ def line_through(p: ProjectivePoint, q: ProjectivePoint) -> LineKey:
     return LineKey._of_canonical(fld, _canonical(fld, cross))
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """A finite list of distinct projective points over one field."""
+class Configuration(namedtuple("Configuration", "field points label")):
+    """A finite list of distinct projective points over one field: an
+    immutable (field, points, label) tuple."""
 
-    field: FieldDescriptor
-    points: tuple
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.points:
+    def __new__(cls, field: FieldDescriptor, points, label: str = ""):
+        if not points:
             raise GeometryError("a configuration needs at least one point")
         pts = tuple(
-            p if isinstance(p, ProjectivePoint) else ProjectivePoint(p, self.field)
-            for p in self.points
+            p if isinstance(p, ProjectivePoint) else ProjectivePoint(p, field)
+            for p in points
         )
         for p in pts:
-            if p.field != self.field:
+            if p.field != field:
                 raise FieldMismatchError("configuration points must share its field")
         if len(set(pts)) != len(pts):
             seen = set()
@@ -268,7 +266,7 @@ class Configuration:
                         f"duplicate point at index {i}: {p!r}"
                     )
                 seen.add(p)
-        object.__setattr__(self, "points", pts)
+        return tuple.__new__(cls, (field, pts, label))
 
     @property
     def n(self) -> int:
@@ -282,16 +280,12 @@ class Configuration:
         return all(c.is_real() for p in self.points for c in p.coords)
 
 
-@dataclass(frozen=True)
-class LineSpectrum:
-    """Line-size counts l_i plus the derived totals of one configuration."""
+class LineSpectrum(namedtuple(
+        "LineSpectrum", "n ell total_lines incidences max_collinear degrees")):
+    """Line-size counts l_i (the dict `ell`) plus the derived totals of one
+    configuration, as an immutable tuple."""
 
-    n: int
-    ell: dict
-    total_lines: int
-    incidences: int
-    max_collinear: int
-    degrees: tuple
+    __slots__ = ()
 
     def count(self, i: int) -> int:
         return self.ell.get(i, 0)

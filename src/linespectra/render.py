@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .fields import FieldElement
 from .projective import Configuration, spanned_lines

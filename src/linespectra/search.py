@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,17 +39,11 @@ class SearchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SearchRecord:
-    best_config: Configuration
-    objective: Fraction
-    best_value: int
-    objective_kind: str
-    constraint: int
-    method: str
-    iterations: int
-    seed: int
-    history: Tuple[Tuple[int, Fraction], ...]
+# The result of one search: the best Configuration, its objective as a
+# Fraction, and `history`, a tuple of (iteration, objective) pairs.
+SearchRecord = namedtuple("SearchRecord", (
+    "best_config objective best_value objective_kind constraint method "
+    "iterations seed history"))
 
 
 def _score(pts: Sequence[Tuple[int, int]], objective: str) -> Tuple[int, int]:

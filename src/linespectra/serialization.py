@@ -7,13 +7,11 @@ view with decimal approximations, clearly labeled as such.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
 from fractions import Fraction
-from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .fields import (
     FieldDescriptor,
@@ -22,9 +20,7 @@ from .fields import (
     quadratic_field,
     rational_field,
 )
-from .inequalities import InequalityReport
 from .projective import Configuration, LineSpectrum, ProjectivePoint
-from .search import SearchRecord
 
 
 class SerializationError(ValueError):
@@ -46,6 +42,30 @@ def parse_frac(data) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise SerializationError(f"bad rational literal {data!r}") from exc
     raise SerializationError(f"exact rational expected, got {type(data).__name__}")
+
+
+def _is_ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def _parse_coeff(data) -> tuple:
+    """(num, den), den > 0 and not always coprime, of the rational that
+    parse_frac reads from `data`.  A JSON int or a canonical "p" or "p/q"
+    literal (ASCII digits, a leading "-" at most, q > 0) is read with int();
+    every other value goes through parse_frac, so the accepted inputs and
+    the errors are parse_frac's."""
+    if type(data) is int:
+        return data, 1
+    if type(data) is str:
+        num, slash, den = data.partition("/")
+        if (_is_ascii_digits(num[1:] if num[:1] == "-" else num)
+                and (not slash or _is_ascii_digits(den) and den.strip("0"))):
+            try:
+                return int(num), int(den) if slash else 1
+            except ValueError:  # beyond int()'s digit limit, like Fraction's
+                pass
+    f = parse_frac(data)
+    return f.numerator, f.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +117,17 @@ def element_to_json(e: FieldElement):
 
 def element_from_json(field: FieldDescriptor, data) -> FieldElement:
     if field.kind == "rational":
-        return field.element([parse_frac(data)])
+        num, den = _parse_coeff(data)
+        return FieldElement(field, (num,), den)
     if not isinstance(data, (list, tuple)):
         raise SerializationError(
             f"{field.kind} element must be a coefficient array, got {data!r}")
     if len(data) != field.degree:
         raise SerializationError(
             f"{field} element needs {field.degree} coefficients, got {len(data)}")
-    return field.element([parse_frac(c) for c in data])
+    pairs = [_parse_coeff(c) for c in data]
+    den = math.lcm(*[q for _, q in pairs])
+    return FieldElement(field, [p if q == den else p * (den // q) for p, q in pairs], den)
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +156,16 @@ def config_from_json(data) -> Configuration:
     raw_points = data["points"]
     if not isinstance(raw_points, list) or not raw_points:
         raise SerializationError("points must be a non-empty array")
-    # over Q the parsed Fractions go straight into the points
-    parse = parse_frac if field.kind == "rational" else partial(element_from_json, field)
     points = []
     for idx, triple in enumerate(raw_points):
         if not isinstance(triple, list) or len(triple) != 3:
             raise SerializationError(
                 f"point {idx} must be an array of 3 coordinates")
-        points.append(ProjectivePoint([parse(c) for c in triple], field))
+        if field.kind == "rational":  # ints and Fractions go straight into the points
+            coords = [p if q == 1 else Fraction(p, q) for p, q in map(_parse_coeff, triple)]
+        else:
+            coords = [element_from_json(field, c) for c in triple]
+        points.append(ProjectivePoint(coords, field))
     return Configuration(field, tuple(points), label)
 
 
@@ -184,6 +209,7 @@ def spectrum_to_json(s: LineSpectrum, real: Optional[bool] = None) -> Dict:
 
 
 def spectrum_to_csv(s: LineSpectrum, real: Optional[bool] = None) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["quantity", "value"])
@@ -218,6 +244,7 @@ def report_to_json(r: InequalityReport) -> Dict:
 
 
 def reports_to_csv(reports: Sequence[InequalityReport]) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(

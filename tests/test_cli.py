@@ -601,3 +601,39 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
+
+
+# Runs `python -m linespectra ARGV` in the child and prints the sorted names
+# in sys.modules to stderr once the command has returned.
+_MODULES_PROBE = """
+import runpy, sys
+sys.argv = ["linespectra", *sys.argv[1:]]
+try:
+    runpy.run_module("linespectra", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(sys.modules), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_check_and_analyze_load_only_what_they_run(tmp_path, command):
+    # the import graph is a contract: search, render, constructions and the
+    # heavy standard modules stay out of a check or analyze child
+    save_configuration(boroczky(4), str(tmp_path / "c.json"))
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, command, str(tmp_path / "c.json")],
+        capture_output=True, text=True, env=env,
+    )
+    code, *modules = proc.stderr.split()
+    assert code == "0"
+    assert json.loads(proc.stdout)["command"] == command
+    assert {m for m in modules if m.startswith("linespectra")} == {
+        "linespectra", "linespectra.cli", "linespectra.serialization",
+        "linespectra.fields", "linespectra.projective", "linespectra.inequalities"}
+    for name in ("linespectra.search", "linespectra.render", "linespectra.constructions",
+                 "dataclasses", "inspect", "csv"):
+        assert name not in modules

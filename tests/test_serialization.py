@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from linespectra.constructions import boroczky, fermat, grid
-from linespectra.fields import quadratic_field, rational_field
+from linespectra.fields import cyclotomic_field, quadratic_field, rational_field
 from linespectra.inequalities import all_reports
 from linespectra.projective import Configuration, GeometryError, ProjectivePoint, spectrum
 from linespectra.search import local_search
@@ -44,6 +44,46 @@ def test_fraction_strings():
 def test_parse_frac_rejects_inexact_or_malformed(bad):
     with pytest.raises(SerializationError):
         parse_frac(bad)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except SerializationError as exc:
+        return "error", str(exc)
+
+
+def _fraction_element(field, data):
+    """element_from_json as it was before integer parsing: one Fraction per
+    coefficient from parse_frac, and another in FieldDescriptor.element."""
+    if field.kind == "rational":
+        return field.element([parse_frac(data)])
+    return field.element([parse_frac(c) for c in data])
+
+
+LITERALS = [
+    "7", "-7", "007", "-0", "0/5", "6/4", "-6/4", "12/-4", "3/-4", "1/0", "1/00",
+    "1/05", "+3", " 4 ", "4 ", "1 / 2", "1.5", "2e3", "1E-2", ".5", "1_0", "1/1_0",
+    "--1", "-", "", "/3", "3/", "1/2/3", "abc", "\u0661\u0662", "\u00b2",
+    "\uff13/\uff14", 5, -5, 0, True, False, 1.5, 2.0, None, [1], {"p": 1},
+    pytest.param("1" * 5000, id="5000-digit-numerator"),
+    pytest.param("1/" + "1" * 5000, id="5000-digit-denominator"),
+]
+
+
+@pytest.mark.parametrize("literal", LITERALS)
+def test_coefficient_parsing_matches_fractions(literal):
+    # the int() fast path must accept, reject and report exactly as the
+    # Fraction route it replaces, outcome for outcome
+    for field in (rational_field(), quadratic_field(2), cyclotomic_field(5)):
+        data = literal if field.degree == 1 else ["1/3", literal] + ["0"] * (field.degree - 2)
+        assert _outcome(element_from_json, field, data) == _outcome(
+            _fraction_element, field, data)
+    point = {"field": {"kind": "rational"}, "points": [[literal, "1/2", 1]]}
+    got = _outcome(config_from_json, point)
+    want = _outcome(lambda: Configuration(rational_field(), (ProjectivePoint(
+        [parse_frac(literal), Fraction(1, 2), 1]),)))
+    assert got == want
 
 
 def test_field_round_trips():
