@@ -21,7 +21,7 @@ from .fields import (
     cyclotomic_field,
     rational_field,
 )
-from .projective import Configuration, GeometryError, ProjectivePoint
+from .projective import Configuration, ProjectivePoint
 
 
 class ConstructionError(ValueError):

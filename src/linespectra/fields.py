@@ -124,6 +124,8 @@ class FieldDescriptor(namedtuple("FieldDescriptor", "kind d N")):
     __slots__ = ()
 
     def __new__(cls, kind: str, d: int | None = None, N: int | None = None):
+        if any(v is not None and type(v) is not int for v in (d, N)):
+            raise FieldError(f"field parameters must be ints, got d={d!r}, N={N!r}")
         if kind == RATIONAL:
             if d is not None or N is not None:
                 raise FieldError("rational field takes no parameters")
@@ -161,13 +163,13 @@ class FieldDescriptor(namedtuple("FieldDescriptor", "kind d N")):
             raise FieldError(
                 f"{self} element wants {self.degree} coefficients, got {len(coeffs)}"
             )
-        fracs = [Fraction(c) for c in coeffs]
+        fracs = [_exact(c) for c in coeffs]
         den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
         nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
         return FieldElement(self, nums, den)
 
     def from_rational(self, value: Rationalish) -> "FieldElement":
-        f = Fraction(value)
+        f = _exact(value)
         nums = (f.numerator,) + (0,) * (self.degree - 1)
         return FieldElement(self, nums, f.denominator)
 
@@ -195,6 +197,13 @@ class FieldDescriptor(namedtuple("FieldDescriptor", "kind d N")):
         if self.kind == QUADRATIC:
             return f"Q(sqrt({self.d}))"
         return f"Q(zeta_{self.N})"
+
+
+def _exact(value: Rationalish) -> Fraction:
+    """Fraction(value); a float is refused: its binary fraction is seldom the value meant."""
+    if isinstance(value, float):
+        raise FieldError(f"field elements want exact rationals, got the float {value!r}")
+    return Fraction(value)
 
 
 def rational_field() -> FieldDescriptor:
@@ -283,6 +292,13 @@ def _unit_tower(N: int) -> tuple:
         group = {h * pow(k, j, N) % N for h in group for j in range(o)}
         steps.append((k, o))
     return tuple(steps)
+
+
+def _conjugate(field: FieldDescriptor, nums: Sequence[int]) -> tuple:
+    """FieldElement.conjugate on an integer coefficient vector."""
+    if field.kind == CYCLOTOMIC:
+        return _galois(field, nums, -1)
+    return nums[:1] + tuple(-x for x in nums[1:])
 
 
 def _adjugate(field: FieldDescriptor, nums: Sequence[int]) -> tuple:
@@ -434,12 +450,7 @@ class FieldElement:
     def conjugate(self) -> "FieldElement":
         """Field conjugation: identity on Q, sqrt(d) -> -sqrt(d),
         zeta -> zeta^(N-1) (complex conjugation on roots of unity)."""
-        kind = self.field.kind
-        if kind == RATIONAL:
-            return self
-        if kind == QUADRATIC:
-            return FieldElement(self.field, (self.nums[0], -self.nums[1]), self.den)
-        return FieldElement(self.field, _galois(self.field, self.nums, -1), self.den)
+        return FieldElement(self.field, _conjugate(self.field, self.nums), self.den)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -450,7 +461,7 @@ class FieldElement:
     def is_real(self) -> bool:
         """True iff the element is fixed by complex conjugation under the
         standard embedding; every element of a real field is."""
-        return self.field.is_real() or self.conjugate() == self
+        return self.field.is_real() or _conjugate(self.field, self.nums) == self.nums
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):

@@ -19,14 +19,11 @@ z = +-1 and integer coordinates below 2**52 in magnitude, which are exact
 image in P^2(GF(p)), scaled with one modular inverse per row (_image_screen,
 _inverses).  Either is only a hash key: a row whose keys are all distinct
 holds only 2-point lines, which is exact, and every key that repeats is
-certified with an exact incidence test before it counts: over Q on the
-integers, elsewhere on evaluations modulo an integer so large that the
-evaluation of a determinant vanishes only with the determinant
-(fields._evaluation, _on_line_mod).  A row with a failed certificate, or
-one the screen cannot key (over Q, a row point with z = 0 or a slope too
-large for a double; elsewhere, a vanishing image mod p), is keyed again by
-the exact canonical form (over Q, _primitive_cross on scalar triples).  No
-float reaches a count.
+certified exactly before it counts, the same way over every field.  A row
+with a failed certificate, or one the screen cannot key (over Q, a row point
+with z = 0 or a slope too large for a double; elsewhere, a vanishing image
+mod p), is keyed again by the exact canonical form (over Q, _primitive_cross
+on scalar triples).  No float reaches a count.
 _fold_rows turns the rows into line counts and degrees, for spectrum and
 for search.  spanned_lines folds the same rows into each line's members,
 keys each line once by the exact form and wraps it in a LineKey.
@@ -51,6 +48,7 @@ from .fields import (
     FieldMismatchError,
     RATIONAL,
     _adjugate,
+    _conjugate,
     _evaluation,
     _mul_intvec,
     _screen,
@@ -72,7 +70,8 @@ class InternalError(RuntimeError):
 
 def _coerce_triple(coords, field: FieldDescriptor | None):
     """The field and the integer coefficient vectors of a coordinate triple
-    (ints, Fractions or FieldElements), cleared of denominators."""
+    (ints, Fractions or FieldElements, never floats), cleared of
+    denominators."""
     items = list(coords)
     if len(items) != 3:
         raise GeometryError(f"homogeneous triple wants 3 coordinates, got {len(items)}")
@@ -89,6 +88,8 @@ def _coerce_triple(coords, field: FieldDescriptor | None):
             pairs.append((c.nums, c.den))
         else:
             if not isinstance(c, (int, Fraction)):
+                if isinstance(c, float):
+                    raise GeometryError(f"coordinates must be exact, got the float {c!r}")
                 c = Fraction(c)
             pairs.append(((c.numerator,) + pad, c.denominator))
     lcm = math.lcm(*[den for _, den in pairs])
@@ -273,11 +274,13 @@ class Configuration(namedtuple("Configuration", "field points label")):
         return len(self.points)
 
     def is_real(self) -> bool:
-        """True iff every coordinate is real.  A field with only real
-        elements answers without reading a coordinate."""
-        if self.field.is_real():
-            return True
-        return all(c.is_real() for p in self.points for c in p.coords)
+        """True iff every coordinate is real.  A canonical form's pivot is a
+        rational integer, so a point is real exactly when each of its
+        integer vectors is fixed by conjugation: no field element is
+        built."""
+        fld = self.field
+        return fld.is_real() or all(
+            _conjugate(fld, v) == v for p in self.points for v in p.intvecs)
 
 
 class LineSpectrum(namedtuple(
@@ -298,11 +301,6 @@ def _scalar_cross(u, v):
     """_cross in degree 1: the cross product of two scalar triples."""
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0])
-
-
-def _on_scalar_line(point, line) -> bool:
-    """_on_line in degree 1: exact incidence of two scalar triples."""
-    return point[0] * line[0] + point[1] * line[1] + point[2] * line[2] == 0
 
 
 def _primitive_cross(u, v):
@@ -350,7 +348,7 @@ def _projective_slopes(items, i):
 
 
 def _slope_screen(items):
-    """The row screen over Q, on scalar triples: (row_keys, cross, on_line).
+    """The row screen over Q, on scalar triples: (row_keys, triples, modulus).
 
     A row's keys are the slopes of the lines through its point and each
     later point, correctly rounded to doubles.  Equal rationals round to
@@ -373,20 +371,20 @@ def _slope_screen(items):
     (its primitive z is not +-1) or a coordinate of 2**52 or more, keeps
     the projective formula (_projective_slopes), and its rows through a
     point with z = 0 or with a slope too large for a double get None: they
-    take the exact key."""
+    take the exact key.  The certificate triples are the items: each of a
+    determinant's six terms takes one entry per column, so the modulus is
+    6 * 2**104 on the affine route and 6 L**3 + 1 otherwise, with L the
+    largest |coordinate|."""
     if all(z in (1, -1) and abs(x) < _AFFINE_LIMIT and abs(y) < _AFFINE_LIMIT
            for x, y, z in items):
         points = [(float(x * z), float(y * z)) for x, y, z in items]
-        return partial(_affine_slopes, points), _scalar_cross, _on_scalar_line
-    return partial(_projective_slopes, items), _scalar_cross, _on_scalar_line
+        return partial(_affine_slopes, points), items, 6 * _AFFINE_LIMIT ** 2
+    bound = max(abs(x) for item in items for x in item)
+    return partial(_projective_slopes, items), items, 6 * bound ** 3 + 1
 
 
 def _on_line_mod(point, line, modulus) -> bool:
-    """The certificate over Q(sqrt d) and Q(zeta_N): exact incidence from
-    evaluations mod m (fields._evaluation).  For the evaluations of a point
-    w and of the cross product u x v, point . line is the evaluation of the
-    determinant of w, u and v, which is 0 mod m exactly when the
-    determinant is 0."""
+    """The certificate of _screened_rows: point . line vanishes mod m."""
     return not (point[0] * line[0] + point[1] * line[1] + point[2] * line[2]) % modulus
 
 
@@ -405,7 +403,7 @@ def _inverses(values, p):
 
 
 def _image_screen(config: Configuration):
-    """The row screen over Q(sqrt d) or Q(zeta_N): (row_keys, cross, on_line).
+    """The row screen over Q(sqrt d) or Q(zeta_N): (row_keys, triples, modulus).
 
     row_keys(i) keys each later point by the cross product of the two
     points' GF(p) images, scaled so its first nonzero coordinate is 1.  The
@@ -413,27 +411,14 @@ def _image_screen(config: Configuration):
     point i never get two different keys.  A row in which some product
     vanishes gets None: it takes the exact key.  The scalings of a row take
     one pow for the whole row (_inverses) in place of the norm products of
-    _canonical.
-
-    A repeated key is certified on evaluations mod m (fields._evaluation):
-    cross evaluates the two points and takes their cross product, and
-    on_line is _on_line_mod, both on plain integers.  Each point is
-    evaluated once, when a certificate first needs it, and kept with its
-    vectors under their id(), which no other object can take while the
-    entry holds them.  Neither builds a field product, and both are
-    exact."""
+    _canonical.  The certificate triples are the points' evaluations mod m,
+    and the modulus is m (fields._evaluation)."""
     fld = config.field
     prime, _ = _screen(fld)
     images = [p.images for p in config.points]
     modulus, basis = _evaluation(fld, [v for p in config.points for v in p.intvecs])
-    values: Dict = {}
-
-    def value(point):
-        entry = values.get(id(point))
-        if entry is None:
-            entry = values[id(point)] = point, tuple(
-                sum(map(operator.mul, v, basis)) % modulus for v in point)
-        return entry[1]
+    triples = [tuple(sum(map(operator.mul, v, basis)) % modulus for v in p.intvecs)
+               for p in config.points]
 
     def row_keys(i):
         u0, u1, u2 = images[i]
@@ -445,8 +430,7 @@ def _image_screen(config: Configuration):
         return [(x and 1, y * inv % prime, z * inv % prime)
                 for (x, y, z), inv in zip(crosses, _inverses(pivots, prime))]
 
-    return (row_keys, lambda u, v: _scalar_cross(value(u), value(v)),
-            lambda point, line: _on_line_mod(value(point), line, modulus))
+    return row_keys, triples, modulus
 
 
 def _keyed_items(config: Configuration):
@@ -496,30 +480,33 @@ def _screened_rows(items, exact_key, screen):
     a later item, and the ascending indices j > i of the later items on
     each such line that holds two or more of them.
 
-    The row is keyed by `screen` = (row_keys, cross, on_line).  The screened
-    key is only a hash key: every repeated key is certified before it
-    counts, each further member lying exactly on the line through items[i]
-    and the group's first member.  A key that repeats by collision fails
-    there, and the row is keyed again with exact_key, as is a row the
-    screen gives None.  A key that does not repeat needs no certificate,
-    since the screen never splits an exact line.  So every row yielded is
-    the exact row.  Each row's keys are dropped once the consumer moves on,
-    so memory stays O(n)."""
-    row_keys, cross, on_line = screen
+    The row is keyed by `screen` = (row_keys, triples, modulus).  The
+    screened key is only a hash key: every repeated key is certified before
+    it counts, the same way over every field.  With line the _scalar_cross
+    of triples[i] and the group's first member's triples, each further
+    member j must pass _on_line_mod(triples[j], line, modulus).  Its dot
+    product is the determinant of the three points over Q, and its
+    evaluation mod m elsewhere; the modulus exceeds every nonzero determinant's norm, so the
+    test is exact incidence.  A key that repeats by collision fails there,
+    and the row is keyed again with exact_key, as is a row the screen gives
+    None.  A key that does not repeat needs no certificate, since the
+    screen never splits an exact line.  So every row yielded is the exact
+    row.  Each row's keys are dropped once the consumer moves on, so memory
+    stays O(n)."""
+    row_keys, triples, modulus = screen
 
-    def certified(u, group):
-        line = cross(u, items[group[0]])
-        return all(on_line(items[j], line) for j in group[1:])
+    def certified(i, group):
+        line = _scalar_cross(triples[i], triples[group[0]])
+        return all(_on_line_mod(triples[j], line, modulus) for j in group[1:])
 
     for i in range(len(items) - 1):
-        u = items[i]
         keys = row_keys(i)
         if keys is not None:
             distinct, groups = _counted_row(i, keys)
-            if groups and not all(certified(u, group) for group in groups):
+            if groups and not all(certified(i, group) for group in groups):
                 keys = None
         if keys is None:
-            distinct, groups = _counted_row(i, [exact_key(u, v) for v in items[i + 1:]])
+            distinct, groups = _counted_row(i, [exact_key(items[i], v) for v in items[i + 1:]])
         yield i, distinct, groups
 
 

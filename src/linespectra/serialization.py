@@ -79,13 +79,6 @@ def field_to_json(field: FieldDescriptor) -> Dict:
     return {"kind": "cyclotomic", "N": field.N}
 
 
-def _int_param(data: dict, key: str) -> int:
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def field_from_json(data) -> FieldDescriptor:
     if not isinstance(data, dict) or "kind" not in data:
         raise SerializationError("field must be an object with a 'kind'")
@@ -94,9 +87,9 @@ def field_from_json(data) -> FieldDescriptor:
         if kind == "rational":
             return rational_field()
         if kind == "quadratic":
-            return quadratic_field(_int_param(data, "d"))
+            return quadratic_field(data["d"])
         if kind == "cyclotomic":
-            return cyclotomic_field(_int_param(data, "N"))
+            return cyclotomic_field(data["N"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad field descriptor {data!r}: {exc}") from exc
     raise SerializationError(f"unknown field kind {kind!r}")

@@ -194,6 +194,18 @@ def test_field_descriptor_validation():
         cyclotomic_field(0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Q.from_rational(0.1),
+    lambda: quadratic_field(2).element([0.5, 0.25]),
+    lambda: Q12.element([1, 0, 0.5, 0]),
+    lambda: Q3.element([1.0, 0]),
+], ids=["from_rational", "quadratic_element", "cyclotomic_element", "integral_float"])
+def test_float_coefficients_are_refused(make):
+    # a float is a binary fraction, rarely the rational that was meant
+    with pytest.raises(FieldError, match="float"):
+        make()
+
+
 def test_mixed_field_arithmetic_rejected():
     a = quadratic_field(2).sqrt_gen()
     b = quadratic_field(3).sqrt_gen()

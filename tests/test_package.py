@@ -1,6 +1,9 @@
-"""The lazy package namespace and the immutable record types."""
+"""The lazy package namespace, the immutable record types and the package
+sources."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +51,10 @@ def test_unknown_public_name_raises_attribute_error():
     ("cyclotomic", {}),
     ("cyclotomic", {"N": 5, "d": 2}),
     ("octonion", {}),
+    ("quadratic", {"d": 2.0}),
+    ("quadratic", {"d": Fraction(2)}),
+    ("cyclotomic", {"N": 4.0}),
+    ("cyclotomic", {"N": True}),
 ])
 def test_invalid_field_parameters_raise(kind, params):
     with pytest.raises(FieldError):
@@ -107,3 +114,24 @@ def test_records_are_tuples():
     assert tuple(quadratic_field(5)) == ("quadratic", 5, None)
     assert len(_report()) == 11
     assert _spectrum() == (3, {3: 1}, 1, 3, 3, (1, 1, 1))
+
+
+def _unused_imports(source):
+    # (line, name) of each name an import binds that the module never reads
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_package_has_no_unused_imports():
+    assert _unused_imports("import os\nfrom x import y as z, w\nw()\n") == [(1, "os"), (2, "z")]
+    package = Path(linespectra.__file__).parent
+    unused = {path.name: _unused_imports(path.read_text()) for path in package.glob("*.py")}
+    assert {name: found for name, found in unused.items() if found} == {}

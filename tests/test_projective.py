@@ -22,7 +22,6 @@ from linespectra.constructions import (
 from linespectra import projective
 from linespectra.fields import (
     QUADRATIC,
-    _evaluation,
     _is_prime,
     _nth_root_mod,
     cyclotomic_field,
@@ -413,14 +412,12 @@ def test_spectrum_over_tiny_screen_matches_oracle_lines(monkeypatch):
 
 def test_oracle_and_kernel_keep_separate_incidence_tests(monkeypatch):
     # the oracle decides membership by collinear, never by the kernel's
-    # certificate, and the kernel over an extension field never calls the
-    # oracle's _on_line
+    # certificate, and the kernel over every field never calls the oracle's
+    # _on_line
     def forbidden(*args):
         raise AssertionError("called across the oracle boundary")
 
     for name in sorted(ORACLE_CASES):
-        if name.startswith("Q-"):
-            continue
         config = ORACLE_CASES[name]()
         with monkeypatch.context() as m:
             m.setattr(projective, "_on_line_mod", forbidden)
@@ -515,35 +512,57 @@ def _norm_bound(fld, vec):
     return sum(map(abs, vec))
 
 
-@settings(deadline=None, max_examples=80)
-@given(fld=st.sampled_from(CERTIFICATE_FIELDS), collinear_third=st.booleans(),
+def _det_bound(fld, triples):
+    # over Q a bound on |det|, each of its six terms taking one entry per
+    # column; elsewhere a bound on |N(det)|
+    if fld == Q:
+        return 6 * math.prod(max(abs(t[k][0]) for t in triples) for k in range(3))
+    return (6 * max(_norm_bound(fld, vec) for t in triples for vec in t) ** 3) ** fld.degree
+
+
+@settings(deadline=None, max_examples=160)
+@given(fld=st.just(Q) | st.sampled_from(CERTIFICATE_FIELDS), collinear_third=st.booleans(),
        data=st.data())
 def test_certificate_agrees_with_exact_incidence(fld, collinear_third, data):
-    # the certificate of the third point on the line through the first two
-    # is _on_line(_cross), on random triples and on w = alpha u + beta v
+    # the kernel's certificate of the third point on the line through the
+    # first two, on the screen's triples and modulus, is _on_line(_cross),
+    # on random triples and on w = alpha u + beta v.  Over Q, affine points
+    # with coordinates at +-(2**52 - 1) keep the affine route, and
+    # coordinates at +-2**60 take the projective one
+    affine = fld == Q and data.draw(st.booleans())
     coeff = st.integers(-3, 3) | st.integers(-2**12, 2**12)
+    if fld == Q:
+        coeff |= st.sampled_from([2**52 - 1, 1 - 2**52] if affine else [2**60, -2**60])
 
     def element():
         return fld.element(data.draw(st.lists(coeff, min_size=fld.degree,
                                               max_size=fld.degree)))
 
-    u, v = [element() for _ in range(3)], [element() for _ in range(3)]
+    def triple():
+        return [element(), element(), 1 if affine else element()]
+
+    u, v = triple(), triple()
     if collinear_third:
-        alpha, beta = element(), element()
+        if affine:  # the midpoint keeps |x|, |y| < 2**52
+            alpha = beta = Fraction(1, 2)
+        else:
+            alpha, beta = element(), element()
         w = [alpha * a + beta * b for a, b in zip(u, v)]
     else:
-        w = [element() for _ in range(3)]
+        w = triple()
     assume(all(any(t) for t in (u, v, w)))
     points = [ProjectivePoint(t, fld) for t in (u, v, w)]
     assume(len(set(points)) == 3)
-    config = Configuration(fld, tuple(points))
-    vectors = [vec for p in points for vec in p.intvecs]
-    modulus, _ = _evaluation(fld, vectors)
-    assert modulus > (6 * max(_norm_bound(fld, vec) for vec in vectors) ** 3) ** fld.degree
-    _, cross, on_line = projective._image_screen(config)
+    _, _, (_, triples, modulus) = projective._keyed_items(Configuration(fld, tuple(points)))
     pu, pv, pw = (p.intvecs for p in points)
+    assert modulus > _det_bound(fld, [pu, pv, pw])
+    if fld == Q:
+        on_affine_route = all(z in (1, -1) and abs(x) < 2**52 and abs(y) < 2**52
+                              for (x,), (y,), (z,) in (pu, pv, pw))
+        assert (modulus == 6 * 2**104) == on_affine_route
     exact = projective._on_line(fld, pw, projective._cross(fld, pu, pv))
-    assert on_line(pw, cross(pu, pv)) == exact
+    line = projective._scalar_cross(triples[0], triples[1])
+    assert projective._on_line_mod(triples[2], line, modulus) == exact
     if collinear_third:
         assert exact
 
@@ -553,7 +572,7 @@ def test_spectrum_over_q_slope_screen_matches_oracle_lines(monkeypatch):
     # the exact key, and slopes 2**55 + k that round to one double fail
     # certification
     names = [name for name in sorted(ORACLE_CASES) if name.startswith("Q-")]
-    _assert_oracle_with_fallbacks(monkeypatch, names, "_primitive_cross", "_on_scalar_line")
+    _assert_oracle_with_fallbacks(monkeypatch, names, "_primitive_cross", "_on_line_mod")
 
 
 def test_slope_screen_keys_affine_inputs_by_affine_slopes(monkeypatch):
@@ -722,8 +741,22 @@ def test_configuration_is_real_matches_its_coordinates():
         (fermat(3), False),
     ]
     for config, real in cases:
-        by_coordinates = all(c.is_real() for p in config.points for c in p.coords)
-        assert config.is_real() == by_coordinates == real, config
+        assert config.is_real() == real, config
+        # the answer comes from the integer vectors, with no field element built
+        assert all(p._coords is None for p in config.points), config
+        assert all(c.is_real() for p in config.points for c in p.coords) == real, config
+
+
+@pytest.mark.parametrize("field,coords", [
+    (Q, (0.1, 0, 1)),
+    (Q, (1, 2, 1.0)),
+    (Q2, (Q2.sqrt_gen(), 0.5, 1)),
+], ids=["Q", "Q-integral-float", "Q2"])
+def test_float_coordinates_are_refused(field, coords):
+    with pytest.raises(GeometryError, match="float"):
+        ProjectivePoint(coords)
+    with pytest.raises(GeometryError, match="float"):
+        Configuration(field, [coords])
 
 
 def test_empty_configuration_rejected():

@@ -161,6 +161,19 @@ def test_save_and_load_configuration(tmp_path):
     assert load_configuration(str(path)) == config
 
 
+@pytest.mark.parametrize("field", [
+    rational_field(), quadratic_field(2), quadratic_field(-1), quadratic_field(-3),
+    cyclotomic_field(1), cyclotomic_field(2), cyclotomic_field(5), cyclotomic_field(12),
+], ids=str)
+def test_save_and_load_round_trips_every_field_kind(tmp_path, field):
+    # every field the descriptor accepts names itself in a file that loads
+    g = field.element([Fraction(1, 3)] + [1] * (field.degree - 1))
+    config = Configuration(field, [(g, 1, 1), (0, g, 1), (1, 0, g)], label=str(field))
+    path = tmp_path / "config.json"
+    save_configuration(config, str(path))
+    assert load_configuration(str(path)) == config
+
+
 def test_dumps_is_indented_with_final_newline():
     assert dumps({"a": 1}) == '{\n  "a": 1\n}\n'
 
