@@ -7,7 +7,7 @@ integer), then made primitive with that coordinate positive.  Equal
 projective objects have equal forms, so they compare and hash alike, and
 field elements are built only when `coords` is read.  line_through is the
 canonical form of a cross product; collinear is the exact vanishing of
-p . (q x r) (_on_line) behind a GF(p) screen.
+p . (q x r) (_on_line), in integer arithmetic with no screen.
 
 Every spanned-line count comes from one kernel, _screened_rows: for each
 point i it keys the later points j > i by the line through i and j, in one
@@ -27,9 +27,10 @@ on scalar triples).  No float reaches a count.
 _fold_rows turns the rows into line counts and degrees, for spectrum and
 for search.  spanned_lines folds the same rows into each line's members,
 keys each line once by the exact form and wraps it in a LineKey.
-oracle_spanned_lines is the deliberately naive cross-check that retests
-membership of every other point with collinear() and must agree
-everywhere.
+oracle_spanned_lines is the deliberately naive cross-check that keys each
+pair by line_through and tests the later points against each new line with
+_on_line.  It shares no screen and no certificate with the kernel, and
+must agree with it everywhere.
 """
 
 from __future__ import annotations
@@ -140,13 +141,13 @@ def _on_line(field: FieldDescriptor, point, line) -> bool:
 
 
 class _HomogeneousTriple:
-    """A point or line key, identified by its canonical form: the primitive
-    integer coefficient vectors `intvecs` of _canonical, over one field.
+    """A point or line key: a field and its canonical form, the primitive
+    integer coefficient vectors `intvecs` of _canonical, and nothing else.
     Equality compares the vectors and the field, hashing the vectors.  The
     field-element coordinates `coords`, scaled so the first nonzero one is
-    1, are built from the vectors on first read."""
+    1, are built from sort_token() on each read."""
 
-    __slots__ = ("field", "intvecs", "_coords", "_images")
+    __slots__ = ("field", "intvecs")
 
     def __new__(cls, coords, field: FieldDescriptor | None = None):
         fld, vecs = _coerce_triple(coords, field)
@@ -156,8 +157,8 @@ class _HomogeneousTriple:
     def _of_canonical(cls, field: FieldDescriptor, vecs):
         """The triple whose canonical form is vecs (not rechecked)."""
         self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (field, vecs, None, None)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "intvecs", vecs)
         return self
 
     def __setattr__(self, *a):
@@ -165,20 +166,7 @@ class _HomogeneousTriple:
 
     @property
     def coords(self):
-        if self._coords is None:
-            pivot = next(v[0] for v in self.intvecs if any(v))
-            coords = tuple(FieldElement(self.field, v, pivot) for v in self.intvecs)
-            object.__setattr__(self, "_coords", coords)
-        return self._coords
-
-    @property
-    def images(self):
-        """Coordinates reduced into GF(p) through the field's screen."""
-        if self._images is None:
-            p, basis = _screen(self.field)
-            images = tuple(sum(map(operator.mul, v, basis)) % p for v in self.intvecs)
-            object.__setattr__(self, "_images", images)
-        return self._images
+        return tuple(FieldElement(self.field, nums, den) for nums, den in self.sort_token())
 
     def sort_token(self):
         """(numerators, denominator) of each coordinate in lowest terms, the
@@ -211,24 +199,11 @@ class LineKey(_HomogeneousTriple):
 
 
 def collinear(p: ProjectivePoint, q: ProjectivePoint, r: ProjectivePoint) -> bool:
-    """Exact test: do three points lie on one line?
-
-    A fast reduction into GF(p) rejects most non-collinear triples; a zero
-    image is always confirmed with the exact integer determinant
-    p . (q x r), so the answer is exact in both directions.
-    """
+    """Exact test: do three points lie on one line?  The determinant
+    p . (q x r) vanishes, computed on the canonical integer vectors."""
     fld = p.field
     if q.field != fld or r.field != fld:
         raise FieldMismatchError("collinear wants three points over one field")
-    sp, sq, sr = p.images, q.images, r.images
-    prime, _ = _screen(fld)
-    det = (
-        sp[0] * (sq[1] * sr[2] - sq[2] * sr[1])
-        - sp[1] * (sq[0] * sr[2] - sq[2] * sr[0])
-        + sp[2] * (sq[0] * sr[1] - sq[1] * sr[0])
-    ) % prime
-    if det:
-        return False
     return _on_line(fld, p.intvecs, _cross(fld, q.intvecs, r.intvecs))
 
 
@@ -406,16 +381,17 @@ def _image_screen(config: Configuration):
     """The row screen over Q(sqrt d) or Q(zeta_N): (row_keys, triples, modulus).
 
     row_keys(i) keys each later point by the cross product of the two
-    points' GF(p) images, scaled so its first nonzero coordinate is 1.  The
-    screen is a ring homomorphism, so the points of one exact line through
-    point i never get two different keys.  A row in which some product
-    vanishes gets None: it takes the exact key.  The scalings of a row take
-    one pow for the whole row (_inverses) in place of the norm products of
-    _canonical.  The certificate triples are the points' evaluations mod m,
+    points' images in GF(p) (fields._screen), scaled so its first nonzero
+    coordinate is 1.  The screen is a ring homomorphism, so the points of
+    one exact line through point i never get two different keys.  A row in
+    which some product vanishes gets None: it takes the exact key.  The
+    scalings of a row take one pow for the whole row (_inverses) in place
+    of the norm products of _canonical.  The certificate triples are the points' evaluations mod m,
     and the modulus is m (fields._evaluation)."""
     fld = config.field
-    prime, _ = _screen(fld)
-    images = [p.images for p in config.points]
+    prime, residues = _screen(fld)
+    images = [tuple(sum(map(operator.mul, v, residues)) % prime for v in p.intvecs)
+              for p in config.points]
     modulus, basis = _evaluation(fld, [v for p in config.points for v in p.intvecs])
     triples = [tuple(sum(map(operator.mul, v, basis)) % modulus for v in p.intvecs)
                for p in config.points]
@@ -576,24 +552,21 @@ def spanned_lines(config: Configuration):
 
 
 def oracle_spanned_lines(config: Configuration):
-    """Independent brute-force route: for every pair, membership of every
-    other point is decided by collinear().  Quadratic in pairs; used to
-    cross-check spanned_lines."""
+    """Independent brute-force route: every pair i < j is keyed by
+    line_through.  A new key's members are i, j and each later point k > j
+    on it by exact incidence (_on_line), with no screen; an earlier point on
+    the line would have keyed it at an earlier pair.  Used to cross-check
+    spanned_lines."""
     n = config.n
-    if n < 2:
-        return {}
     points = config.points
     out: Dict[LineKey, FrozenSet[int]] = {}
     for i in range(n - 1):
         for j in range(i + 1, n):
             key = line_through(points[i], points[j])
-            if key in out:
-                continue
-            members = {i, j}
-            for k in range(n):
-                if k != i and k != j and collinear(points[i], points[j], points[k]):
-                    members.add(k)
-            out[key] = frozenset(members)
+            if key not in out:
+                out[key] = frozenset([i, j, *(
+                    k for k in range(j + 1, n)
+                    if _on_line(config.field, points[k].intvecs, key.intvecs))])
     return dict(sorted(out.items(), key=lambda kv: kv[0].sort_token()))
 
 

@@ -55,24 +55,23 @@ def _chart_candidates():
             yield f
 
 
-def _find_chart(config: Configuration) -> Tuple[int, int, int]:
+def _find_chart(points) -> Tuple[int, int, int]:
+    """A chart functional f that no point's coordinates annihilate."""
     for f in _chart_candidates():
-        if all(not (p.coords[0] * f[0] + p.coords[1] * f[1]
-                    + p.coords[2] * f[2]).is_zero()
-               for p in config.points):
+        if all(not (x * f[0] + y * f[1] + z * f[2]).is_zero() for x, y, z in points):
             return f
     raise RenderError("no small affine chart contains every point")
 
 
 def _affine_floats(config: Configuration) -> List[Tuple[float, float]]:
-    f = _find_chart(config)
+    points = [p.coords for p in config.points]
+    f = _find_chart(points)
     pivot = next(i for i, v in enumerate(f) if v != 0)
     i, j = [axis for axis in range(3) if axis != pivot]
     out = []
-    for p in config.points:
-        denom = p.coords[0] * f[0] + p.coords[1] * f[1] + p.coords[2] * f[2]
-        inv = denom.inverse()
-        out.append((_embed(p.coords[i] * inv), _embed(p.coords[j] * inv)))
+    for coords in points:
+        inv = (coords[0] * f[0] + coords[1] * f[1] + coords[2] * f[2]).inverse()
+        out.append((_embed(coords[i] * inv), _embed(coords[j] * inv)))
     return out
 
 

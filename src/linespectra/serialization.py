@@ -13,13 +13,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
-from .fields import (
-    FieldDescriptor,
-    FieldElement,
-    cyclotomic_field,
-    quadratic_field,
-    rational_field,
-)
+from .fields import FieldDescriptor, FieldElement, FieldError
 from .projective import Configuration, LineSpectrum, ProjectivePoint
 
 
@@ -72,27 +66,19 @@ def _parse_coeff(data) -> tuple:
 # Fields and elements.
 
 def field_to_json(field: FieldDescriptor) -> Dict:
-    if field.kind == "rational":
-        return {"kind": "rational"}
-    if field.kind == "quadratic":
-        return {"kind": "quadratic", "d": field.d}
-    return {"kind": "cyclotomic", "N": field.N}
+    """The descriptor's fields that are set, in order: kind, then d or N."""
+    return {k: v for k, v in field._asdict().items() if v is not None}
 
 
 def field_from_json(data) -> FieldDescriptor:
+    """The descriptor of a field object.  FieldDescriptor refuses an unknown
+    kind and a parameter the kind does not take or lacks."""
     if not isinstance(data, dict) or "kind" not in data:
         raise SerializationError("field must be an object with a 'kind'")
-    kind = data["kind"]
     try:
-        if kind == "rational":
-            return rational_field()
-        if kind == "quadratic":
-            return quadratic_field(data["d"])
-        if kind == "cyclotomic":
-            return cyclotomic_field(data["N"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return FieldDescriptor(data["kind"], data.get("d"), data.get("N"))
+    except FieldError as exc:
         raise SerializationError(f"bad field descriptor {data!r}: {exc}") from exc
-    raise SerializationError(f"unknown field kind {kind!r}")
 
 
 def _coeff_str(n: int, den: int) -> str:

@@ -347,6 +347,19 @@ def test_analyze_duplicate_points_rejected(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("field", [
+    {"kind": "rational", "d": 2},
+    {"kind": "quadratic", "d": 2, "N": 7},
+    {"kind": "cyclotomic", "N": 5, "d": 2},
+], ids=str)
+def test_check_rejects_a_field_parameter_of_another_kind(tmp_path, capsys, field):
+    bad = tmp_path / "field.json"
+    bad.write_text(json.dumps({"field": field, "points": [["1", "0", "1"]]}))
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 1 and out == ""
+    assert "bad field descriptor" in err
+
+
 # --- check ---
 
 

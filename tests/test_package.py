@@ -2,6 +2,7 @@
 sources."""
 
 import ast
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -135,3 +136,35 @@ def test_package_has_no_unused_imports():
     package = Path(linespectra.__file__).parent
     unused = {path.name: _unused_imports(path.read_text()) for path in package.glob("*.py")}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _names_read(node):
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _unreferenced_private_definitions(sources):
+    # (module, name) of each private module-level function or class, and each
+    # private method, that no code outside its own body reads by name
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = sum((_names_read(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            for d in [node, *(node.body if isinstance(node, ast.ClassDef) else ())]:
+                if (isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name.startswith("_")
+                        and not d.name.endswith("__")
+                        and read[d.name] == _names_read(d)[d.name]):
+                    found.append((module, d.name))
+    return sorted(found)
+
+
+def test_every_private_definition_is_referenced_in_the_package():
+    # tests do not count: a helper that only tests call is a leftover
+    sample = ("def _used(): pass\ndef _self(): return _self()\nclass _C:\n"
+              "    def _m(self): pass\n    def __eq__(self, o): return _used()\n")
+    assert _unreferenced_private_definitions({"m": sample}) == [
+        ("m", "_C"), ("m", "_m"), ("m", "_self")]
+    package = Path(linespectra.__file__).parent
+    sources = {path.name: path.read_text() for path in package.glob("*.py")}
+    assert _unreferenced_private_definitions(sources) == []

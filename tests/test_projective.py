@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -127,6 +128,39 @@ def test_collinear_cross_triples_cyclotomic():
         q = ProjectivePoint((F.zero(), F.one(), -(w ** b)), F)
         r = ProjectivePoint((-(w ** c), F.zero(), F.one()), F)
         assert collinear(p, q, r) == ((a + b + c) % 4 == 0)
+
+
+@pytest.mark.parametrize("fld", [Q, Q2, Qm3, Z5, cyclotomic_field(12)], ids=str)
+def test_collinear_is_a_vanishing_determinant(fld):
+    # seeded triples, triples with a repeated point and triples drawn from
+    # one line: collinear is exactly det(coords) == 0
+    rng = random.Random(12)
+
+    def element():
+        return fld.element([rng.choice([0, 0, 1, -1, 2, rng.randint(-50, 50)])
+                            for _ in range(fld.degree)])
+
+    def point():
+        while True:
+            coords = [element() for _ in range(3)]
+            if any(coords):
+                return ProjectivePoint(coords, fld)
+
+    triples = []
+    for _ in range(40):
+        p, q = point(), point()
+        triples += [(p, q, point()), (p, q, p), (q, q, p), (p, p, p)]
+        if p != q:
+            alpha, beta = element(), element()
+            w = [alpha * a + beta * b for a, b in zip(p.coords, q.coords)]
+            if any(w):
+                triples.append((p, q, ProjectivePoint(w, fld)))
+    hits = 0
+    for p, q, r in triples:
+        det = matrix_determinant([p.coords, q.coords, r.coords])
+        assert collinear(p, q, r) == det.is_zero(), (p, q, r)
+        hits += det.is_zero()
+    assert 0 < hits < len(triples)
 
 
 def test_line_through_examples():
@@ -411,17 +445,24 @@ def test_spectrum_over_tiny_screen_matches_oracle_lines(monkeypatch):
 
 
 def test_oracle_and_kernel_keep_separate_incidence_tests(monkeypatch):
-    # the oracle decides membership by collinear, never by the kernel's
-    # certificate, and the kernel over every field never calls the oracle's
-    # _on_line
+    # the oracle and collinear decide membership by exact incidence,
+    # _on_line, and never reach the kernel's GF(p) screen, evaluations or
+    # certificate; the kernel over every field never calls _on_line
     def forbidden(*args):
         raise AssertionError("called across the oracle boundary")
 
+    rng = random.Random(15)
     for name in sorted(ORACLE_CASES):
         config = ORACLE_CASES[name]()
         with monkeypatch.context() as m:
-            m.setattr(projective, "_on_line_mod", forbidden)
+            for kernel_only in ("_screen", "_evaluation", "_on_line_mod"):
+                m.setattr(projective, kernel_only, forbidden)
             lines = oracle_spanned_lines(config)
+            for _ in range(10):
+                idx = [rng.randrange(config.n) for _ in range(3)]
+                on_one_line = len(set(idx)) < 3 or any(set(idx) <= line for line in lines.values())
+                p, q, r = (config.points[k] for k in idx)
+                assert collinear(p, q, r) == on_one_line, (name, idx)
         with monkeypatch.context() as m:
             m.setattr(projective, "_on_line", forbidden)
             assert spectrum(config) == spectrum_from_lines(config.n, lines), name
@@ -464,8 +505,9 @@ def test_batched_row_keys_match_pairwise_inverses(monkeypatch, tiny):
             continue
         config = ORACLE_CASES[name]()
         row_keys, _, _ = projective._image_screen(config)
-        prime, _ = projective._screen(config.field)
-        images = [p.images for p in config.points]
+        prime, residues = projective._screen(config.field)
+        images = [tuple(sum(map(operator.mul, v, residues)) % prime for v in p.intvecs)
+                  for p in config.points]
         for i in range(config.n - 1):
             assert row_keys(i) == _pairwise_keys(images, i, prime, branches), (name, i)
     assert branches["x"] > 0
@@ -740,10 +782,15 @@ def test_configuration_is_real_matches_its_coordinates():
         (_two_points(Z5), False),
         (fermat(3), False),
     ]
+
+    def no_field_element(*args):
+        raise AssertionError("is_real built a field element")
+
     for config, real in cases:
-        assert config.is_real() == real, config
         # the answer comes from the integer vectors, with no field element built
-        assert all(p._coords is None for p in config.points), config
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(projective, "FieldElement", no_field_element)
+            assert config.is_real() == real, config
         assert all(c.is_real() for p in config.points for c in p.coords) == real, config
 
 

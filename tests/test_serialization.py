@@ -100,6 +100,16 @@ def test_field_from_json_rejects_unknown_kind():
 
 
 @pytest.mark.parametrize("data", [
+    {"kind": "rational", "d": 2},
+    {"kind": "quadratic", "d": 2, "N": 7},
+    {"kind": "cyclotomic", "N": 5, "d": 2},
+], ids=str)
+def test_field_from_json_rejects_a_parameter_of_another_kind(data):
+    with pytest.raises(SerializationError, match="bad field descriptor"):
+        field_from_json(data)
+
+
+@pytest.mark.parametrize("data", [
     {"kind": "quadratic", "d": 2.9},
     {"kind": "cyclotomic", "N": 12.5},
     {"kind": "cyclotomic", "N": True},
