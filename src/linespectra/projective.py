@@ -145,7 +145,7 @@ class _HomogeneousTriple:
     integer coefficient vectors `intvecs` of _canonical, and nothing else.
     Equality compares the vectors and the field, hashing the vectors.  The
     field-element coordinates `coords`, scaled so the first nonzero one is
-    1, are built from sort_token() on each read."""
+    1, are built from the vectors on each read."""
 
     __slots__ = ("field", "intvecs")
 
@@ -166,7 +166,8 @@ class _HomogeneousTriple:
 
     @property
     def coords(self):
-        return tuple(FieldElement(self.field, nums, den) for nums, den in self.sort_token())
+        pivot = next(v[0] for v in self.intvecs if any(v))
+        return tuple(FieldElement(self.field, v, pivot) for v in self.intvecs)
 
     def sort_token(self):
         """(numerators, denominator) of each coordinate in lowest terms, the
