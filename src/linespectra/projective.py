@@ -12,18 +12,19 @@ p . (q x r) (_on_line), in integer arithmetic with no screen.
 Every spanned-line count comes from one kernel, _screened_rows: for each
 point i it keys the later points j > i by the line through i and j, in one
 pass per row.  Over Q the key is the line's slope, a correctly rounded
-float (_slope_screen): on float affine coordinates when every point has
-z = +-1 and integer coordinates below 2**52 in magnitude, which are exact
-(_affine_slopes), and in the affine chart of point i otherwise
-(_projective_slopes).  Over Q(sqrt d) and Q(zeta_N) the key is the line's
-image in P^2(GF(p)), scaled with one modular inverse per row (_image_screen,
-_inverses).  Either is only a hash key: a row whose keys are all distinct
-holds only 2-point lines, which is exact, and every key that repeats is
-certified exactly before it counts, the same way over every field.  A row
-with a failed certificate, or one the screen cannot key (over Q, a row point
-with z = 0 or a slope too large for a double; elsewhere, a vanishing image
-mod p), is keyed again by the exact canonical form (over Q, _primitive_cross
-on scalar triples).  No float reaches a count.
+float (_slope_screen): on exact float affine coordinates, sheared by
+t = 2 L + 1 so that no pair is vertical and the keys' hashes spread, when
+every point has z = +-1 and L (2 L + 2) < 2**52 for L the largest
+|coordinate| (_affine_slopes), and in the affine chart of point i
+otherwise (_projective_slopes).  Over Q(sqrt d) and Q(zeta_N) the key is
+the line's image in P^2(GF(p)), scaled with one modular inverse per row
+(_image_screen, _inverses).  Either is only a hash key: a row whose keys
+are all distinct holds only 2-point lines, which is exact, and every key
+that repeats is certified exactly before it counts, the same way over every
+field.  A row with a failed certificate, or one the screen cannot key (over
+Q, a row point with z = 0 or a slope too large for a double; elsewhere, a
+vanishing image mod p), is keyed again by the exact canonical form (over Q,
+_primitive_cross on scalar triples).  No float reaches a count.
 _fold_rows turns the rows into line counts and degrees, for spectrum and
 for search.  spanned_lines folds the same rows into each line's members,
 keys each line once by the exact form and wraps it in a LineKey.
@@ -40,7 +41,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Dict, FrozenSet
 
 from .fields import (
@@ -294,18 +295,19 @@ def _primitive_cross(u, v):
     return (a,), (b,), (c,)
 
 
-# Affine slope keys are exact below this bound on |x| and |y|: see _slope_screen.
+# Sheared affine coordinates stay below this bound, so slope keys are exact:
+# see _slope_screen.
 _AFFINE_LIMIT = 2 ** 52
 
 
 def _affine_slopes(points, i):
-    """The keys of row i over affine points (X, Y): the slope
-    (Y_j - Y_i) / (X_j - X_i) to each later point j, or math.inf for a
-    vertical line.  The coordinates are floats of integers below 2**52 in
-    magnitude, so every difference is exact (see _slope_screen) and every
-    divisor is at least 1: no quotient overflows."""
+    """The keys of row i over sheared affine points (X, Y): the slope
+    (Y_j - Y_i) / (X_j - X_i) to each later point j.  The coordinates are
+    floats of integers below 2**52 in magnitude and no two points share an
+    X (see _slope_screen), so every difference is exact and every divisor
+    is at least 1: no pair is vertical and no quotient overflows."""
     x0, y0 = points[i]
-    return [(y - y0) / d if (d := x - x0) else math.inf for x, y in points[i + 1:]]
+    return [(y - y0) / (x - x0) for x, y in points[i + 1:]]
 
 
 def _projective_slopes(items, i):
@@ -333,29 +335,32 @@ def _slope_screen(items):
     inf, since an int/int division too large for a double raises
     OverflowError.
 
-    When every triple has z = +-1 and |x|, |y| < 2**52, the rows are keyed
-    on affine points (X, Y) = (x z, y z), built once as floats
-    (_affine_slopes).  Those floats are exact, and so are their differences:
-    these stay below 2**53 in magnitude, where every integer is a double.
-    The quotient of the affine differences is the projective formula's
-    quotient, both terms scaled by c z = +-1, and IEEE division rounds it
-    correctly, as int/int division does.  So each key is the same double as
-    the projective formula's, at two float subtractions and a division per
-    pair instead of four int products, two subtractions and a division.
-    From 2**52 on, a difference can pass 2**53 and round.  Any other input,
-    with a point at infinity, a point with a fractional affine coordinate
-    (its primitive z is not +-1) or a coordinate of 2**52 or more, keeps
-    the projective formula (_projective_slopes), and its rows through a
-    point with z = 0 or with a slope too large for a double get None: they
-    take the exact key.  The certificate triples are the items: each of a
-    determinant's six terms takes one entry per column, so the modulus is
-    6 * 2**104 on the affine route and 6 L**3 + 1 otherwise, with L the
-    largest |coordinate|."""
-    if all(z in (1, -1) and abs(x) < _AFFINE_LIMIT and abs(y) < _AFFINE_LIMIT
-           for x, y, z in items):
-        points = [(float(x * z), float(y * z)) for x, y, z in items]
+    Let L be the largest |coordinate|.  When every triple has z = +-1 and
+    L (2 L + 2) < 2**52 (up to L = 47,453,132), the rows are keyed on the
+    sheared affine points (X, Y) = ((x + t y) z, y z), t = 2 L + 1, built
+    once as floats (_affine_slopes).  Two distinct points never share X:
+    with equal y their x differ, and otherwise t |y_i - y_j| >= t > 2 L >=
+    |x_i - x_j|.  So no pair is vertical.  Every |X| <= L (2 L + 2) < 2**52,
+    so the floats are exact and so are their differences, which stay below
+    2**53, where every integer is a double.  The shear is a linear map, so
+    each key is the correctly rounded slope of the line in the sheared
+    chart, as int/int division would give it, and equal lines get equal
+    doubles.  The keys lie near +-1/t, in binades where the low bits of
+    CPython's float hash (the value mod 2**61 - 1) come from the mantissa,
+    so they spread over a set's slots; unsheared slopes hash to their
+    integer part and crowd a few slots.  Any other input, with a point at
+    infinity, a point with a fractional affine coordinate (its primitive z
+    is not +-1) or a larger L, keeps the projective formula
+    (_projective_slopes), and its rows through a point with z = 0 or with a
+    slope too large for a double get None: they take the exact key.  The
+    certificate triples are the items: each of a determinant's six terms
+    takes one entry per column, so the modulus is 6 * 2**104 on the affine
+    route and 6 L**3 + 1 otherwise."""
+    bound = max(map(abs, chain.from_iterable(items)))
+    if bound * (2 * bound + 2) < _AFFINE_LIMIT and all(z in (1, -1) for _, _, z in items):
+        t = 2 * bound + 1
+        points = [(float((x + t * y) * z), float(y * z)) for x, y, z in items]
         return partial(_affine_slopes, points), items, 6 * _AFFINE_LIMIT ** 2
-    bound = max(abs(x) for item in items for x in item)
     return partial(_projective_slopes, items), items, 6 * bound ** 3 + 1
 
 
