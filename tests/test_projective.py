@@ -338,17 +338,29 @@ def _double_collision():
                *[(1, 2**55 + k, 0) for k in range(40)])
 
 
-def _affine_collision():
+# the largest L with L (2 L + 2) < 2**52: the affine route's bound on
+# |coordinate|, see projective._slope_screen
+AFFINE_MAX = 47453132
+
+
+def _projective_collision():
     # the slopes from (0, 0) of the next two points, 1 + 2**-51 and
-    # 1 + 1/(2**51 + 1), round to one double: an affine row fails
+    # 1 + 1/(2**51 + 1), round to one double: a projective row fails
     # certification.  The last point canonicalises to z = -1.
     return cfg((0, 0, 1), (2**51, 2**51 + 1, 1), (2**51 + 1, 2**51 + 2, 1),
                (-2**51, -2**51 - 1, 1))
 
 
+def _affine_collision():
+    # with t = 2 * AFFINE_MAX + 1, the sheared slopes from (0, 0) of the
+    # next two points, 1048577 / (3 + 1048577 t) and 349526 / (1 + 349526 t),
+    # round to one double: an affine row fails certification
+    return cfg((0, 0, 1), (3, 1048577, 1), (1, 349526, 1), (AFFINE_MAX, 0, 1))
+
+
 def _near_affine_limit(m):
     # a grid and far points on its lines, with coordinates up to m: the
-    # affine slope keys take m = 2**52 - 1 and leave m = 2**52 alone
+    # affine slope keys take m = AFFINE_MAX and leave m = AFFINE_MAX + 1 alone
     return Configuration(Q, grid(3, 3).points + tuple(pt(*t) for t in (
         (m, m, 1), (-m, 0, 1), (0, -m, 1), (m, m - 1, 1), (1 - m, 2 - m, 1))))
 
@@ -363,8 +375,9 @@ ORACLE_CASES = {
     "Q-at-infinity": _at_infinity,
     "Q-double-collision": _double_collision,
     "Q-affine-collision": _affine_collision,
-    "Q-affine-below-limit": lambda: _near_affine_limit(2**52 - 1),
-    "Q-affine-at-limit": lambda: _near_affine_limit(2**52),
+    "Q-projective-collision": _projective_collision,
+    "Q-affine-below-limit": lambda: _near_affine_limit(AFFINE_MAX),
+    "Q-affine-at-limit": lambda: _near_affine_limit(AFFINE_MAX + 1),
     "Q2-two-points": lambda: _two_points(Q2),
     "Q2-all-collinear": lambda: _all_collinear(Q2, 6),
     "Q2-near-pencil": lambda: _near_pencil(Q2, 7),
@@ -569,12 +582,12 @@ def test_certificate_agrees_with_exact_incidence(fld, collinear_third, data):
     # the kernel's certificate of the third point on the line through the
     # first two, on the screen's triples and modulus, is _on_line(_cross),
     # on random triples and on w = alpha u + beta v.  Over Q, affine points
-    # with coordinates at +-(2**52 - 1) keep the affine route, and
+    # with coordinates at +-AFFINE_MAX keep the affine route, and
     # coordinates at +-2**60 take the projective one
     affine = fld == Q and data.draw(st.booleans())
     coeff = st.integers(-3, 3) | st.integers(-2**12, 2**12)
     if fld == Q:
-        coeff |= st.sampled_from([2**52 - 1, 1 - 2**52] if affine else [2**60, -2**60])
+        coeff |= st.sampled_from([AFFINE_MAX, -AFFINE_MAX] if affine else [2**60, -2**60])
 
     def element():
         return fld.element(data.draw(st.lists(coeff, min_size=fld.degree,
@@ -585,7 +598,7 @@ def test_certificate_agrees_with_exact_incidence(fld, collinear_third, data):
 
     u, v = triple(), triple()
     if collinear_third:
-        if affine:  # the midpoint keeps |x|, |y| < 2**52
+        if affine:  # the midpoint keeps |x|, |y| <= AFFINE_MAX
             alpha = beta = Fraction(1, 2)
         else:
             alpha, beta = element(), element()
@@ -599,8 +612,9 @@ def test_certificate_agrees_with_exact_incidence(fld, collinear_third, data):
     pu, pv, pw = (p.intvecs for p in points)
     assert modulus > _det_bound(fld, [pu, pv, pw])
     if fld == Q:
-        on_affine_route = all(z in (1, -1) and abs(x) < 2**52 and abs(y) < 2**52
-                              for (x,), (y,), (z,) in (pu, pv, pw))
+        bound = max(abs(c) for p in (pu, pv, pw) for (c,) in p)
+        on_affine_route = (bound * (2 * bound + 2) < 2**52
+                           and all(z in (1, -1) for _, _, (z,) in (pu, pv, pw)))
         assert (modulus == 6 * 2**104) == on_affine_route
     exact = projective._on_line(fld, pw, projective._cross(fld, pu, pv))
     line = projective._scalar_cross(triples[0], triples[1])
@@ -618,9 +632,9 @@ def test_spectrum_over_q_slope_screen_matches_oracle_lines(monkeypatch):
 
 
 def test_slope_screen_keys_affine_inputs_by_affine_slopes(monkeypatch):
-    # inputs with z = +-1 and coordinates below 2**52 are keyed by the
-    # affine formula, all others by the projective one; the affine row of
-    # slopes that round to one double falls back to the exact key
+    # inputs with z = +-1 and coordinates up to AFFINE_MAX are keyed by the
+    # affine formula, all others by the projective one; on either route a
+    # row of slopes that round to one double falls back to the exact key
     calls = Counter()
     for name in ("_affine_slopes", "_projective_slopes", "_primitive_cross"):
         def counting(*args, name=name, original=getattr(projective, name)):
@@ -633,6 +647,7 @@ def test_slope_screen_keys_affine_inputs_by_affine_slopes(monkeypatch):
         "Q-random": "_affine_slopes",
         "Q-affine-at-limit": "_projective_slopes",
         "Q-at-infinity": "_projective_slopes",
+        "Q-projective-collision": "_projective_slopes",
     }
     for name, formula in formulas.items():
         calls.clear()
@@ -640,8 +655,47 @@ def test_slope_screen_keys_affine_inputs_by_affine_slopes(monkeypatch):
         assert spectrum(config) == spectrum_from_lines(config.n, oracle_spanned_lines(config))
         assert calls[formula] == config.n - 1, name
         assert set(calls) <= {formula, "_primitive_cross"}, name
-        if name == "Q-affine-collision":
-            assert calls["_primitive_cross"] == config.n - 1
+        if name.endswith("-collision"):
+            assert calls["_primitive_cross"] == config.n - 1, name
+
+
+@settings(deadline=None, max_examples=100)
+@given(bases=st.lists(st.integers(0, 3) | st.integers(AFFINE_MAX - 2, AFFINE_MAX),
+                      min_size=1, max_size=2, unique=True), data=st.data())
+def test_sheared_affine_keys_are_finite_and_never_split_a_line(bases, data):
+    # points drawn from the coordinates +-b and +-(b - 1) share an x or a y,
+    # so the unsheared chart has vertical pairs, and they include x = +-L
+    # with y one apart, the pairs the shear comes nearest to making
+    # vertical; in the sheared chart every key is a finite double, and
+    # later points on one exact line through point i share a key
+    coord = st.sampled_from(sorted({c for b in bases for c in (b, -b, b - 1, 1 - b)}))
+    triples = data.draw(st.lists(st.tuples(coord, coord, st.sampled_from([1, -1])),
+                                 min_size=2, max_size=12))
+    points = list(dict.fromkeys(pt(x * z, y * z, z) for x, y, z in triples))
+    assume(len(points) >= 2)
+    items = [tuple(c for (c,) in p.intvecs) for p in points]
+    row_keys, _, _ = projective._slope_screen(items)
+    assert row_keys.func is projective._affine_slopes
+    for i in range(len(items) - 1):
+        keys = row_keys(i)
+        assert all(map(math.isfinite, keys)), (items, i)
+        for j, k in itertools.combinations(range(i + 1, len(items)), 2):
+            line = tuple((c,) for c in projective._scalar_cross(items[i], items[j]))
+            if projective._on_line(Q, points[k].intvecs, line):
+                assert keys[j - i - 1] == keys[k - i - 1], (items, i, j, k)
+
+
+def test_affine_keys_spread_over_a_sets_slots():
+    # CPython hashes a float by its value mod 2**61 - 1, and a set slot is
+    # the hash's low bits.  Row keys must fill at least 0.8 as many slots of
+    # a 4096-slot table as they have distinct values; unsheared slopes, whose
+    # low hash bits are their integer part, fill 0.17-0.20
+    config = random_config(1000, seed=0)
+    row_keys, _, _ = projective._slope_screen([tuple(c for (c,) in p.intvecs)
+                                               for p in config.points])
+    for i in range(50):
+        distinct = set(row_keys(i))
+        assert len({hash(key) & 4095 for key in distinct}) >= 0.8 * len(distinct), i
 
 
 @settings(deadline=None, max_examples=40)
