@@ -7,24 +7,26 @@ and 3 when an internal invariant of the line counting breaks, which is a bug
 in this package and never a fault of the input.  Conjectures and
 informational checks never affect the exit code.
 
-The --threads flag is accepted (it must be at least 1) and ignored: the pair
-enumeration runs in one thread.  It never changes an output byte, so it is
+The --threads flag caps the processes analyze and check count a large
+configuration's lines in (projective.spectrum's forked stripes).  It must be
+at least 1 and defaults to the number of CPUs this process may run on; every
+other command ignores it.  It never changes an output byte, so it is
 excluded from the echoed argument map.
 
-A command imports what only it runs (constructions, search, render) in its
-handler or parser branch, so analyze and check load only serialization,
-fields, projective and inequalities.
+A command imports what only it runs (constructions, search, render,
+inequalities) in its handler or parser branch, so analyze loads only
+serialization, fields and projective, and check adds inequalities.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
-from .inequalities import exit_code_for, run_checks, violations
 from .projective import InternalError, spectrum
 from .serialization import (
     dumps,
@@ -49,13 +51,22 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of them where the platform
+    cannot tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("json", "csv"), default="json",
                     help="output format (json is lossless, csv approximate)")
     sp.add_argument("--out", help="write the output document here instead of stdout")
     sp.add_argument("--seed", type=int, default=0, help="random seed")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility and ignored (must be >= 1)")
+    sp.add_argument("--threads", type=int, default=_usable_cpus(),
+                    help="most processes analyze and check count lines in "
+                         "(>= 1; default: the usable CPUs)")
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -163,7 +174,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     config = load_configuration(args.input)
-    s = spectrum(config)
+    s = spectrum(config, workers=args.threads)
     real = config.is_real()
     if args.format == "csv":
         _emit(spectrum_to_csv(s, real), args.out)
@@ -174,9 +185,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .inequalities import exit_code_for, run_checks, violations
     which = "all" if args.all else args.which
     config = load_configuration(args.input)
-    s = spectrum(config)
+    s = spectrum(config, workers=args.threads)
     try:
         reports = run_checks(s, config.is_real(), which)
     except KeyError as exc:

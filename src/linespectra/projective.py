@@ -25,9 +25,15 @@ field.  A row with a failed certificate, or one the screen cannot key (over
 Q, a row point with z = 0 or a slope too large for a double; elsewhere, a
 vanishing image mod p), is keyed again by the exact canonical form (over Q,
 _primitive_cross on scalar triples).  No float reaches a count.
-_fold_rows turns the rows into line counts and degrees, for spectrum and
-for search.  spanned_lines folds the same rows into each line's members,
-keys each line once by the exact form and wraps it in a LineKey.
+_tally_rows reduces any set of rows to an O(n) tally, a group-size
+histogram and degree deltas, and _fold_rows turns the tally of every row
+into line counts and degrees and checks them, for spectrum and for search.
+spectrum(config, workers) with workers > 1 counts a configuration of at
+least _FORK_FLOOR points in interleaved stripes of rows, the first in the
+caller and each other one in a forked process (_forked_tallies); each
+process holds O(n) memory beyond the input it inherits, and only the
+tallies travel back.  spanned_lines folds the same rows into each line's
+members, keys each line once by the exact form and wraps it in a LineKey.
 oracle_spanned_lines is the deliberately naive cross-check that keys each
 pair by line_through and tests the later points against each new line with
 _on_line.  It shares no screen and no certificate with the kernel, and
@@ -36,8 +42,10 @@ must agree with it everywhere.
 
 from __future__ import annotations
 
+import marshal
 import math
 import operator
+import os
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
@@ -456,11 +464,12 @@ def _counted_row(i, keys):
     return distinct, list(groups.values())
 
 
-def _screened_rows(items, exact_key, screen):
-    """The one pair-grouping kernel.  For each index i but the last it
-    yields (i, distinct, groups): the number of lines through items[i] and
-    a later item, and the ascending indices j > i of the later items on
-    each such line that holds two or more of them.
+def _screened_rows(items, exact_key, screen, stripe):
+    """The one pair-grouping kernel.  For each index i in `stripe`, a range
+    of row indices below len(items) - 1, it yields (i, distinct, groups):
+    the number of lines through items[i] and a later item, and the
+    ascending indices j > i of the later items on each such line that holds
+    two or more of them.
 
     The row is keyed by `screen` = (row_keys, triples, modulus).  The
     screened key is only a hash key: every repeated key is certified before
@@ -481,7 +490,7 @@ def _screened_rows(items, exact_key, screen):
         line = _scalar_cross(triples[i], triples[group[0]])
         return all(_on_line_mod(triples[j], line, modulus) for j in group[1:])
 
-    for i in range(len(items) - 1):
+    for i in stripe:
         keys = row_keys(i)
         if keys is not None:
             distinct, groups = _counted_row(i, keys)
@@ -492,8 +501,33 @@ def _screened_rows(items, exact_key, screen):
         yield i, distinct, groups
 
 
-def _fold_rows(n: int, rows) -> LineSpectrum:
-    """Spectrum and degrees of n >= 1 points from the kernel's rows.
+def _tally_rows(n: int, rows):
+    """The O(n) tally of some of the kernel's rows: (G, deltas), with G[s]
+    the number of listed groups of s >= 2 points and G[1] the number of
+    size-1 groups, and deltas[j] what the rows add to deg(j) - j (see
+    _fold_rows).  Tallies of disjoint sets of rows add up: G key by key,
+    deltas entry by entry.  It holds no row, so a tally costs O(n) memory
+    however many rows it counts."""
+    group_sizes = {1: 0}
+    deltas = [0] * n
+    for i, distinct, groups in rows:
+        deltas[i] += distinct
+        group_sizes[1] += distinct - len(groups)
+        for group in groups:
+            size = len(group)
+            group_sizes[size] = group_sizes.get(size, 0) + 1
+            for j in group:
+                deltas[j] -= 1
+    return group_sizes, deltas
+
+
+def _fold_rows(n: int, group_sizes, deltas) -> LineSpectrum:
+    """Spectrum and degrees of n >= 1 points from the tally (_tally_rows) of
+    every row of the kernel, whether one process tallied them all or
+    spectrum's stripes each tallied some.  It raises InternalError unless
+    the tally is consistent three ways: no line count is negative, the
+    lines cover every point pair once, and the degrees sum to the
+    incidences.
 
     A line with members m1 < ... < mk shows up in row m_t as a group of the
     k - t points after m_t, so it leaves one group of each size 1 .. k-1;
@@ -506,17 +540,8 @@ def _fold_rows(n: int, rows) -> LineSpectrum:
     with t members below j covering t of them; j shares a listed group in
     the rows of all t of them if the line goes on past j, of t - 1 if j
     ends it.  So deg(j) = (lines in row j) + j - (rows i < j in which j is
-    in a listed group)."""
-    group_sizes = {1: 0}
-    degrees = list(range(n))
-    for i, distinct, groups in rows:
-        degrees[i] += distinct
-        group_sizes[1] += distinct - len(groups)
-        for group in groups:
-            size = len(group)
-            group_sizes[size] = group_sizes.get(size, 0) + 1
-            for j in group:
-                degrees[j] -= 1
+    in a listed group), which is j + deltas[j]."""
+    degrees = [j + d for j, d in enumerate(deltas)]
     ell: Dict[int, int] = {}
     for k in range(2, max(group_sizes) + 2):
         count = group_sizes.get(k - 1, 0) - group_sizes.get(k, 0)
@@ -545,7 +570,7 @@ def spanned_lines(config: Configuration):
     items, exact_key, screen = _keyed_items(config)
     after = [set() for _ in items]
     lines = []
-    for i, _, groups in _screened_rows(items, exact_key, screen):
+    for i, _, groups in _screened_rows(items, exact_key, screen, range(len(items) - 1)):
         skip = after[i].union(*groups)
         new = [g for g in groups if g[0] not in after[i]]
         new += [[j] for j in range(i + 1, len(items)) if j not in skip]
@@ -602,9 +627,109 @@ def spectrum_from_lines(n: int, lines) -> LineSpectrum:
     return _spectrum_of(n, ell, degrees)
 
 
-def spectrum(config: Configuration) -> LineSpectrum:
-    """Line spectrum of a configuration.  n = 1 yields the empty spectrum."""
-    return _fold_rows(config.n, _screened_rows(*_keyed_items(config)))
+# Below this many points spectrum tallies every row in the caller, whatever
+# its worker count.  In fresh CLI children on a 2-vCPU VM, two pinned
+# stripes were at parity with one process on random_config(400) and (600),
+# and ahead from about n = 800 on.
+_FORK_FLOOR = 1000
+
+
+def _merged(tallies):
+    """The tally of the union of disjoint sets of rows, from theirs."""
+    (group_sizes, deltas), *rest = tallies
+    for sizes, more in rest:
+        for size, count in sizes.items():
+            group_sizes[size] = group_sizes.get(size, 0) + count
+        deltas = list(map(operator.add, deltas, more))
+    return group_sizes, deltas
+
+
+def _pin(cpus, w: int) -> None:
+    """Keep this process on the w-th of `cpus`, round robin; nothing if
+    cpus is None, where the platform lets no process choose its CPUs."""
+    if cpus:
+        os.sched_setaffinity(0, {cpus[w % len(cpus)]})
+
+
+def _stripe_worker(n: int, keyed, workers: int, w: int, write_end, cpus):
+    """The body of forked worker w, which never returns: pin itself (_pin),
+    tally the rows of stripe w, write the tally to the pipe `write_end` as
+    marshal bytes and leave through os._exit, with status 0 only if the
+    whole tally was written.  It never flushes the stdio it inherited."""
+    code = 1
+    try:
+        _pin(cpus, w)
+        stripe = range(w, n - 1, workers)
+        with open(write_end, "wb") as pipe:
+            pipe.write(marshal.dumps(_tally_rows(n, _screened_rows(*keyed, stripe))))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_tallies(n: int, keyed, workers: int):
+    """The tallies of the kernel's rows in `workers` interleaved stripes,
+    range(w, n - 1, workers): stripe 0 in this process and each other
+    stripe in an os.fork()ed _stripe_worker, which inherits the keyed input
+    and sends back only its tally.  Row i has n - 1 - i pairs, so
+    interleaving balances the stripes.
+
+    Where the platform allows it, stripe w runs pinned to the w-th CPU this
+    process may use (round robin), and this process gets its CPUs back
+    before returning: on a 2-vCPU Linux VM the scheduler was seen to leave
+    a fresh worker on its parent's CPU for most of a 0.1-0.3 s stripe, so
+    the stripes took turns on one CPU while the other idled.
+
+    Every worker is reaped before this returns or raises, and killed first
+    if this process raised; a worker that failed raises InternalError."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else None
+    pids, read_ends, encoded = [], [], []
+    try:
+        for w in range(1, workers):
+            read_end, write_end = os.pipe()
+            read_ends.append(read_end)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _stripe_worker(n, keyed, workers, w, write_end, cpus)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        _pin(cpus, 0)
+        own = _tally_rows(n, _screened_rows(*keyed, range(0, n - 1, workers)))
+        for read_end in read_ends:
+            with open(read_end, "rb", closefd=False) as pipe:
+                encoded.append(pipe.read())
+    except BaseException:
+        from signal import SIGKILL
+        for pid in pids:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for read_end in read_ends:
+            os.close(read_end)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+    if any(statuses):
+        raise InternalError(f"a counting worker failed (wait statuses {statuses})")
+    return [own, *map(marshal.loads, encoded)]
+
+
+def spectrum(config: Configuration, workers: int = 1) -> LineSpectrum:
+    """Line spectrum of a configuration.  n = 1 yields the empty spectrum.
+
+    With workers > 1 and at least _FORK_FLOOR points, where os.fork
+    exists, the kernel's rows are counted in that many interleaved stripes,
+    each in its own process (_forked_tallies) holding O(n) memory beyond
+    the inherited input, and their tallies are merged and checked once
+    here.  Otherwise, and by default, this process counts every row.  The
+    result is the same either way."""
+    n = config.n
+    keyed = _keyed_items(config)
+    if workers > 1 and n >= _FORK_FLOOR and hasattr(os, "fork"):
+        return _fold_rows(n, *_merged(_forked_tallies(n, keyed, workers)))
+    return _fold_rows(n, *_tally_rows(n, _screened_rows(*keyed, range(n - 1))))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .projective import (
     _primitive_cross,
     _screened_rows,
     _slope_screen,
+    _tally_rows,
 )
 
 OBJECTIVES = ("incidences", "lines")
@@ -50,7 +51,8 @@ def _score(pts: Sequence[Tuple[int, int]], objective: str) -> Tuple[int, int]:
     """(objective value, max_collinear) for distinct integer points, folded
     from the spectrum's row kernel over their (x, y, 1) triples."""
     items = [(x, y, 1) for x, y in pts]
-    s = _fold_rows(len(items), _screened_rows(items, _primitive_cross, _slope_screen(items)))
+    rows = _screened_rows(items, _primitive_cross, _slope_screen(items), range(len(items) - 1))
+    s = _fold_rows(len(items), *_tally_rows(len(items), rows))
     return (s.incidences if objective == "incidences" else s.total_lines), s.max_collinear
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import linespectra.cli as cli_mod
+import linespectra.inequalities as inequalities_mod
 import linespectra.projective as projective_mod
 from linespectra.cli import main
 from linespectra.constructions import boroczky, fermat, grid, random_config, sylvester_cubic
@@ -170,6 +171,21 @@ def test_analyze_threads_do_not_change_bytes(tmp_path, capsys):
     assert run(capsys, "analyze", str(path), "--threads", "4",
                "--out", str(four))[0] == 0
     assert one.read_bytes() == four.read_bytes()
+    # above the fork floor the rows are counted in forked stripes
+    n = projective_mod._FORK_FLOOR + 100
+    save_configuration(random_config(n, seed=3), str(path))
+    outputs = [run(capsys, "analyze", str(path), *threads)
+               for threads in (["--threads", "1"], [], ["--threads", "3"])]
+    assert outputs[0][0] == 0
+    assert json.loads(outputs[0][1])["result"]["n"] == n
+    assert outputs[1:] == outputs[:1] * 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_threads_default_to_the_usable_cpus():
+    args = cli_mod.build_parser().parse_args(["analyze", "c.json"])
+    assert args.threads == len(os.sched_getaffinity(0)) >= 1
 
 
 # sha256 of the stdout of `command stem.json`, run from the input's
@@ -422,7 +438,7 @@ def test_check_exit_two_on_violated_proof(tmp_path, capsys, monkeypatch):
         rhs=Fraction(1), slack=Fraction(-1), satisfied=False,
         tight=False, strict=False,
     )
-    monkeypatch.setattr(cli_mod, "run_checks", lambda *a, **k: [broken])
+    monkeypatch.setattr(inequalities_mod, "run_checks", lambda *a, **k: [broken])
     code, out, _ = run(capsys, "check", str(path))
     assert code == 2
     result = json.loads(out)["result"]
@@ -447,6 +463,24 @@ def test_broken_line_grouping_exits_three(tmp_path, capsys, monkeypatch, rows):
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_failed_worker_exits_three_and_leaves_no_process(tmp_path, capsys, monkeypatch):
+    path = gen(tmp_path, capsys, "grid", "--a", "4", "--b", "4")
+    kernel = projective_mod._screened_rows
+
+    def screened_rows(items, exact_key, screen, stripe):
+        if stripe.start == 1:
+            raise KeyError("worker stripe")
+        return kernel(items, exact_key, screen, stripe)
+
+    monkeypatch.setattr(projective_mod, "_FORK_FLOOR", 0)
+    monkeypatch.setattr(projective_mod, "_screened_rows", screened_rows)
+    code, out, err = run(capsys, "analyze", str(path), "--threads", "2")
+    assert (code, out) == (3, "")
+    assert "counting worker failed" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # --- search ---
@@ -644,9 +678,12 @@ def test_check_and_analyze_load_only_what_they_run(tmp_path, command):
     code, *modules = proc.stderr.split()
     assert code == "0"
     assert json.loads(proc.stdout)["command"] == command
-    assert {m for m in modules if m.startswith("linespectra")} == {
-        "linespectra", "linespectra.cli", "linespectra.serialization",
-        "linespectra.fields", "linespectra.projective", "linespectra.inequalities"}
+    runs = {"linespectra", "linespectra.cli", "linespectra.serialization",
+            "linespectra.fields", "linespectra.projective"}
+    if command == "check":
+        runs.add("linespectra.inequalities")
+    assert {m for m in modules if m.startswith("linespectra")} == runs
     for name in ("linespectra.search", "linespectra.render", "linespectra.constructions",
-                 "dataclasses", "inspect", "csv"):
+                 "dataclasses", "inspect", "csv",
+                 "multiprocessing", "concurrent.futures", "signal"):
         assert name not in modules

@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -402,6 +403,119 @@ def test_spectrum_matches_oracle_lines(name):
     lines = oracle_spanned_lines(config)
     assert spectrum(config) == spectrum_from_lines(config.n, lines)
     assert list(spanned_lines(config).items()) == list(lines.items())
+
+
+# --- forked stripes ---
+
+
+def _counting_forks(monkeypatch):
+    # os.fork, counted in the calling process
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _assert_left_clean(cpus):
+    # no worker outlives the call, and the caller may use its CPUs again
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == cpus
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_stripes_match_the_serial_spectrum(monkeypatch, name):
+    # with no size floor every case, exact fallbacks, failed certificates
+    # and extension fields included, is counted in forked stripes
+    config = ORACLE_CASES[name]()
+    serial = spectrum(config)
+    cpus = os.sched_getaffinity(0)
+    forks = _counting_forks(monkeypatch)
+    monkeypatch.setattr(projective, "_FORK_FLOOR", 0)
+    for workers in (1, 2, 3):
+        assert spectrum(config, workers=workers) == serial, workers
+    assert len(forks) == 3
+    _assert_left_clean(cpus)
+
+
+@pytest.mark.parametrize("config", [random_config(1200, seed=0), grid(35, 35)],
+                         ids=["random-1200", "grid-35x35"])
+def test_stripes_above_the_floor_match_the_serial_spectrum(monkeypatch, config):
+    # the grid's rich lines put the groups of one line in several stripes
+    assert config.n >= projective._FORK_FLOOR
+    serial = spectrum(config)
+    cpus = os.sched_getaffinity(0)
+    forks = _counting_forks(monkeypatch)
+    for workers in (2, 3):
+        assert spectrum(config, workers=workers) == serial, workers
+    assert len(forks) == 3
+    _assert_left_clean(cpus)
+
+
+def test_stripes_run_unpinned_where_no_process_can_choose_its_cpus(monkeypatch):
+    config = grid(6, 7)
+    serial = spectrum(config)
+    cpus = os.sched_getaffinity(0)
+    monkeypatch.setattr(projective, "_FORK_FLOOR", 0)
+    monkeypatch.delattr(os, "sched_setaffinity")
+    assert spectrum(config, workers=2) == serial
+    _assert_left_clean(cpus)
+
+
+def test_below_the_floor_the_caller_counts_every_row(monkeypatch):
+    # every check-families benchmark input has n <= 400 and stays serial
+    config = random_config(400, seed=1)
+    serial = spectrum(config)
+    forks = _counting_forks(monkeypatch)
+    assert spectrum(config, workers=2) == serial
+    assert forks == []
+
+
+def _failing_stripe(monkeypatch, start):
+    # no size floor, and the stripe that starts at row `start` raises
+    kernel = projective._screened_rows
+
+    def screened_rows(items, exact_key, screen, stripe):
+        if stripe.start == start:
+            raise KeyError(f"stripe {start}")
+        return kernel(items, exact_key, screen, stripe)
+
+    monkeypatch.setattr(projective, "_FORK_FLOOR", 0)
+    monkeypatch.setattr(projective, "_screened_rows", screened_rows)
+
+
+def test_a_raise_in_the_callers_stripe_propagates_and_kills_the_workers(monkeypatch):
+    cpus = os.sched_getaffinity(0)
+    _failing_stripe(monkeypatch, 0)
+    with pytest.raises(KeyError, match="stripe 0"):
+        spectrum(grid(4, 4), workers=3)
+    _assert_left_clean(cpus)
+
+
+def test_a_failed_worker_raises_internal_error(monkeypatch):
+    cpus = os.sched_getaffinity(0)
+    _failing_stripe(monkeypatch, 2)
+    with pytest.raises(projective.InternalError, match="counting worker failed"):
+        spectrum(grid(4, 4), workers=3)
+    _assert_left_clean(cpus)
+
+
+def test_the_library_default_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    config = random_config(projective._FORK_FLOOR + 100, seed=4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    serial = spectrum(config)
+    assert serial.n == config.n
+    # nor does any worker count where the platform has no fork
+    monkeypatch.delattr(os, "fork")
+    assert spectrum(config, workers=2) == serial
 
 
 def _tiny_screen(fld):
