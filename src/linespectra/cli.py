@@ -9,8 +9,9 @@ informational checks never affect the exit code.
 
 The --threads flag caps the processes analyze and check count a large
 configuration's lines in (projective.spectrum's forked stripes).  It must be
-at least 1 and defaults to the number of CPUs this process may run on; every
-other command ignores it.  It never changes an output byte, so it is
+at least 1 and defaults to 2, the only count measured, and no more
+processes are used than the CPUs this one may run on; every other command
+ignores it.  It never changes an output byte, so it is
 excluded from the echoed argument map.
 
 A command imports what only it runs (constructions, search, render,
@@ -51,12 +52,12 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or all of them where the platform
-    cannot tell."""
+def _workers(threads: int) -> int:
+    """The processes to count lines in: --threads, but no more than the CPUs
+    this process may run on (all of them where the platform cannot tell)."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return min(threads, len(os.sched_getaffinity(0)))
+    return min(threads, os.cpu_count() or 1)
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -64,9 +65,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="output format (json is lossless, csv approximate)")
     sp.add_argument("--out", help="write the output document here instead of stdout")
     sp.add_argument("--seed", type=int, default=0, help="random seed")
-    sp.add_argument("--threads", type=int, default=_usable_cpus(),
+    sp.add_argument("--threads", type=int, default=2,
                     help="most processes analyze and check count lines in "
-                         "(>= 1; default: the usable CPUs)")
+                         "(>= 1, at most the usable CPUs; default: 2)")
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -174,7 +175,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     config = load_configuration(args.input)
-    s = spectrum(config, workers=args.threads)
+    s = spectrum(config, workers=_workers(args.threads))
     real = config.is_real()
     if args.format == "csv":
         _emit(spectrum_to_csv(s, real), args.out)
@@ -188,7 +189,7 @@ def _cmd_check(args) -> int:
     from .inequalities import exit_code_for, run_checks, violations
     which = "all" if args.all else args.which
     config = load_configuration(args.input)
-    s = spectrum(config, workers=args.threads)
+    s = spectrum(config, workers=_workers(args.threads))
     try:
         reports = run_checks(s, config.is_real(), which)
     except KeyError as exc:

@@ -628,10 +628,10 @@ def spectrum_from_lines(n: int, lines) -> LineSpectrum:
 
 
 # Below this many points spectrum tallies every row in the caller, whatever
-# its worker count.  In fresh CLI children on a 2-vCPU VM, two pinned
-# stripes were at parity with one process on random_config(400) and (600),
-# and ahead from about n = 800 on.
-_FORK_FLOOR = 1000
+# its worker count.  In fresh CLI children on a 2-vCPU VM, two stripes were
+# behind one process on random_config(1000) and (1500), at parity on (2000)
+# and ahead from (2100) on.
+_FORK_FLOOR = 2100
 
 
 def _merged(tallies):
@@ -644,21 +644,13 @@ def _merged(tallies):
     return group_sizes, deltas
 
 
-def _pin(cpus, w: int) -> None:
-    """Keep this process on the w-th of `cpus`, round robin; nothing if
-    cpus is None, where the platform lets no process choose its CPUs."""
-    if cpus:
-        os.sched_setaffinity(0, {cpus[w % len(cpus)]})
-
-
-def _stripe_worker(n: int, keyed, workers: int, w: int, write_end, cpus):
-    """The body of forked worker w, which never returns: pin itself (_pin),
-    tally the rows of stripe w, write the tally to the pipe `write_end` as
-    marshal bytes and leave through os._exit, with status 0 only if the
-    whole tally was written.  It never flushes the stdio it inherited."""
+def _stripe_worker(n: int, keyed, workers: int, w: int, write_end):
+    """The body of forked worker w, which never returns: tally the rows of
+    stripe w, write the tally to the pipe `write_end` as marshal bytes and
+    leave through os._exit, with status 0 only if the whole tally was
+    written.  It never flushes the stdio it inherited."""
     code = 1
     try:
-        _pin(cpus, w)
         stripe = range(w, n - 1, workers)
         with open(write_end, "wb") as pipe:
             pipe.write(marshal.dumps(_tally_rows(n, _screened_rows(*keyed, stripe))))
@@ -672,17 +664,11 @@ def _forked_tallies(n: int, keyed, workers: int):
     range(w, n - 1, workers): stripe 0 in this process and each other
     stripe in an os.fork()ed _stripe_worker, which inherits the keyed input
     and sends back only its tally.  Row i has n - 1 - i pairs, so
-    interleaving balances the stripes.
-
-    Where the platform allows it, stripe w runs pinned to the w-th CPU this
-    process may use (round robin), and this process gets its CPUs back
-    before returning: on a 2-vCPU Linux VM the scheduler was seen to leave
-    a fresh worker on its parent's CPU for most of a 0.1-0.3 s stripe, so
-    the stripes took turns on one CPU while the other idled.
+    interleaving balances the stripes.  If os.fork fails (no process or
+    memory left), this process counts the stripes it could not hand out.
 
     Every worker is reaped before this returns or raises, and killed first
     if this process raised; a worker that failed raises InternalError."""
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else None
     pids, read_ends, encoded = [], [], []
     try:
         for w in range(1, workers):
@@ -691,12 +677,15 @@ def _forked_tallies(n: int, keyed, workers: int):
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _stripe_worker(n, keyed, workers, w, write_end, cpus)
+                    _stripe_worker(n, keyed, workers, w, write_end)
+            except OSError:
+                os.close(read_ends.pop())
+                break
             finally:
                 os.close(write_end)
             pids.append(pid)
-        _pin(cpus, 0)
-        own = _tally_rows(n, _screened_rows(*keyed, range(0, n - 1, workers)))
+        own = [_tally_rows(n, _screened_rows(*keyed, range(w, n - 1, workers)))
+               for w in (0, *range(len(pids) + 1, workers))]
         for read_end in read_ends:
             with open(read_end, "rb", closefd=False) as pipe:
                 encoded.append(pipe.read())
@@ -709,11 +698,9 @@ def _forked_tallies(n: int, keyed, workers: int):
         for read_end in read_ends:
             os.close(read_end)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-        if cpus:
-            os.sched_setaffinity(0, cpus)
     if any(statuses):
         raise InternalError(f"a counting worker failed (wait statuses {statuses})")
-    return [own, *map(marshal.loads, encoded)]
+    return [*own, *map(marshal.loads, encoded)]
 
 
 def spectrum(config: Configuration, workers: int = 1) -> LineSpectrum:

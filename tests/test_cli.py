@@ -183,9 +183,13 @@ def test_analyze_threads_do_not_change_bytes(tmp_path, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_threads_default_to_the_usable_cpus():
+def test_threads_default_to_two_and_never_exceed_the_usable_cpus(monkeypatch):
     args = cli_mod.build_parser().parse_args(["analyze", "c.json"])
-    assert args.threads == len(os.sched_getaffinity(0)) >= 1
+    assert args.threads == 2
+    cpus = len(os.sched_getaffinity(0))
+    assert [cli_mod._workers(t) for t in (1, 2, 5000)] == [1, min(2, cpus), cpus]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli_mod._workers(5000) == os.cpu_count()
 
 
 # sha256 of the stdout of `command stem.json`, run from the input's
@@ -476,6 +480,8 @@ def test_failed_worker_exits_three_and_leaves_no_process(tmp_path, capsys, monke
 
     monkeypatch.setattr(projective_mod, "_FORK_FLOOR", 0)
     monkeypatch.setattr(projective_mod, "_screened_rows", screened_rows)
+    # two stripes even on a host with one usable CPU
+    monkeypatch.setattr(cli_mod, "_workers", lambda threads: threads)
     code, out, err = run(capsys, "analyze", str(path), "--threads", "2")
     assert (code, out) == (3, "")
     assert "counting worker failed" in err

@@ -421,11 +421,9 @@ def _counting_forks(monkeypatch):
     return forks
 
 
-def _assert_left_clean(cpus):
-    # no worker outlives the call, and the caller may use its CPUs again
+def _assert_no_worker_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert os.sched_getaffinity(0) == cpus
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
@@ -434,37 +432,46 @@ def test_stripes_match_the_serial_spectrum(monkeypatch, name):
     # and extension fields included, is counted in forked stripes
     config = ORACLE_CASES[name]()
     serial = spectrum(config)
-    cpus = os.sched_getaffinity(0)
     forks = _counting_forks(monkeypatch)
     monkeypatch.setattr(projective, "_FORK_FLOOR", 0)
     for workers in (1, 2, 3):
         assert spectrum(config, workers=workers) == serial, workers
     assert len(forks) == 3
-    _assert_left_clean(cpus)
+    _assert_no_worker_left()
 
 
-@pytest.mark.parametrize("config", [random_config(1200, seed=0), grid(35, 35)],
-                         ids=["random-1200", "grid-35x35"])
+@pytest.mark.parametrize("config", [random_config(2200, seed=0), grid(47, 47)],
+                         ids=["random-2200", "grid-47x47"])
 def test_stripes_above_the_floor_match_the_serial_spectrum(monkeypatch, config):
     # the grid's rich lines put the groups of one line in several stripes
     assert config.n >= projective._FORK_FLOOR
     serial = spectrum(config)
-    cpus = os.sched_getaffinity(0)
     forks = _counting_forks(monkeypatch)
     for workers in (2, 3):
         assert spectrum(config, workers=workers) == serial, workers
     assert len(forks) == 3
-    _assert_left_clean(cpus)
+    _assert_no_worker_left()
 
 
-def test_stripes_run_unpinned_where_no_process_can_choose_its_cpus(monkeypatch):
+def test_the_caller_counts_the_stripes_it_could_not_fork(monkeypatch):
+    # os.fork fails on its second call (workers = 3) or on every call
     config = grid(6, 7)
     serial = spectrum(config)
-    cpus = os.sched_getaffinity(0)
     monkeypatch.setattr(projective, "_FORK_FLOOR", 0)
-    monkeypatch.delattr(os, "sched_setaffinity")
-    assert spectrum(config, workers=2) == serial
-    _assert_left_clean(cpus)
+    fork = os.fork
+    for workers, allowed in ((3, 1), (2, 0)):
+        forks = []
+
+        def failing_fork():
+            forks.append(1)
+            if len(forks) > allowed:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert spectrum(config, workers=workers) == serial, workers
+        assert len(forks) == allowed + 1
+        _assert_no_worker_left()
 
 
 def test_below_the_floor_the_caller_counts_every_row(monkeypatch):
@@ -490,19 +497,17 @@ def _failing_stripe(monkeypatch, start):
 
 
 def test_a_raise_in_the_callers_stripe_propagates_and_kills_the_workers(monkeypatch):
-    cpus = os.sched_getaffinity(0)
     _failing_stripe(monkeypatch, 0)
     with pytest.raises(KeyError, match="stripe 0"):
         spectrum(grid(4, 4), workers=3)
-    _assert_left_clean(cpus)
+    _assert_no_worker_left()
 
 
 def test_a_failed_worker_raises_internal_error(monkeypatch):
-    cpus = os.sched_getaffinity(0)
     _failing_stripe(monkeypatch, 2)
     with pytest.raises(projective.InternalError, match="counting worker failed"):
         spectrum(grid(4, 4), workers=3)
-    _assert_left_clean(cpus)
+    _assert_no_worker_left()
 
 
 def test_the_library_default_never_forks(monkeypatch):
