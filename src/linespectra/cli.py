@@ -14,6 +14,12 @@ processes are used than the CPUs this one may run on; every other command
 ignores it.  It never changes an output byte, so it is
 excluded from the echoed argument map.
 
+entry(), the console script and `python -m linespectra`, flushes stdout
+and stderr after main returns and leaves through os._exit, skipping the
+interpreter's teardown, so atexit handlers do not run; if the flush fails
+(a closed pipe, a full disk) it reports `error: ...` and exits 1.  main()
+returns its code and never exits.
+
 A command imports what only it runs (constructions, search, render,
 inequalities) in its handler or parser branch, so analyze loads only
 serialization, fields and projective, and check adds inequalities.
@@ -131,7 +137,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -262,7 +268,7 @@ def _cmd_render(args) -> int:
         raise CliError("render requires --out for the SVG file")
     config = load_configuration(args.input)
     svg, points, lines = _render(config)
-    Path(args.out).write_text(svg)
+    Path(args.out).write_text(svg, encoding="utf-8")
     result = {"path": args.out, "points": points, "lines": lines}
     sys.stdout.write(_manifest("render", {"input": args.input}, result))
     return 0
@@ -292,4 +298,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script and `python -m linespectra`: main, then a flush
+    of stdout and stderr and os._exit, with no interpreter teardown."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:  # a closed pipe or a full disk loses output
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
+        code = 1
+    os._exit(code)

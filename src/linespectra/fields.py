@@ -497,8 +497,11 @@ class FieldElement:
 
 # ---------------------------------------------------------------------------
 # Homomorphic screen: reduce integer coefficient vectors into GF(p) for a
-# deterministic large prime p.  A nonzero image certifies a nonzero element;
-# zero images are always confirmed exactly by the caller.
+# deterministic prime p just above 2^29.  A nonzero image certifies a nonzero
+# element; zero images are always confirmed exactly by the caller.  Below
+# 2^30 every residue is one CPython digit, so the screen's products fit a
+# machine word; a smaller p only makes false collisions likelier, and each
+# one costs a certificate, never an answer.
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -527,12 +530,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_SCREEN_START = 1 << 62
+_SCREEN_START = 1 << 29
 
 
 @lru_cache(maxsize=None)
 def _screen(field: FieldDescriptor):
-    """(p, basis images mod p) for the field's power basis."""
+    """(p, basis images mod p) for the field's power basis, with p the first
+    suitable prime above 2^29: over Q(sqrt d), p = 3 (mod 4) with d a square
+    mod p (Q(sqrt -1) takes the screen of Q(zeta_4)); over Q(zeta_N),
+    p = 1 (mod N).  p stays below 2^30, so residues are one-digit ints and
+    the screen's products and reductions never take a long division.  A
+    collision mod p (probability about 1/p per triple) is caught by the
+    exact certificate and costs only that row's exact keys."""
     if field.kind == RATIONAL or field.degree == 1:
         p = _SCREEN_START + 1
         while not _is_prime(p):

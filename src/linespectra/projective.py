@@ -288,19 +288,22 @@ def _scalar_cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
+def _primitive_scalars(a: int, b: int, c: int):
+    """_canonical in degree 1, written out on ints: the triple divided by
+    the gcd of its entries and signed so its first nonzero entry is
+    positive, as ProjectivePoint and LineKey store it."""
+    g = math.gcd(a, b, c)
+    if not g:
+        raise GeometryError("the zero triple is not projective")
+    if a < 0 or (a == 0 and (b < 0 or (b == 0 and c < 0))):
+        g = -g
+    return (a // g,), (b // g,), (c // g,)
+
+
 def _primitive_cross(u, v):
     """_canonical(_cross) in degree 1 on scalar triples, as LineKey stores it."""
-    a = u[1] * v[2] - u[2] * v[1]
-    b = u[2] * v[0] - u[0] * v[2]
-    c = u[0] * v[1] - u[1] * v[0]
-    g = math.gcd(math.gcd(a, b), c)
-    if g:
-        a //= g
-        b //= g
-        c //= g
-    if a < 0 or (a == 0 and (b < 0 or (b == 0 and c < 0))):
-        a, b, c = -a, -b, -c
-    return (a,), (b,), (c,)
+    return _primitive_scalars(u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                              u[0] * v[1] - u[1] * v[0])
 
 
 # Sheared affine coordinates stay below this bound, so slope keys are exact:

@@ -153,7 +153,7 @@ def _load_checkpoint(path: Path, fp: Dict):
     if not path.exists():
         return None
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise SearchError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("kind") != _CHECKPOINT_KIND:
@@ -207,7 +207,7 @@ def _save_checkpoint(path: Path, fingerprint: Dict, completed: int,
         },
         "history": [[it, str(obj)] for it, obj in history],
     }
-    path.write_text(json.dumps(data, indent=2) + "\n")
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
 def _random_feasible(rng: random.Random, n: int, bound: int, cap: int, objective: str):

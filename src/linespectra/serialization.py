@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 from .fields import FieldDescriptor, FieldElement, FieldError
-from .projective import Configuration, LineSpectrum, ProjectivePoint
+from .projective import Configuration, LineSpectrum, ProjectivePoint, _primitive_scalars
 
 
 class SerializationError(ValueError):
@@ -140,12 +140,21 @@ def config_from_json(data) -> Configuration:
         if not isinstance(triple, list) or len(triple) != 3:
             raise SerializationError(
                 f"point {idx} must be an array of 3 coordinates")
-        if field.kind == "rational":  # ints and Fractions go straight into the points
-            coords = [p if q == 1 else Fraction(p, q) for p, q in map(_parse_coeff, triple)]
+        if field.kind == "rational":
+            points.append(_rational_point(field, triple))
         else:
-            coords = [element_from_json(field, c) for c in triple]
-        points.append(ProjectivePoint(coords, field))
+            points.append(ProjectivePoint([element_from_json(field, c) for c in triple], field))
     return Configuration(field, tuple(points), label)
+
+
+def _rational_point(field: FieldDescriptor, triple) -> ProjectivePoint:
+    """The point of three rational coordinates, made primitive straight
+    from their _parse_coeff pairs: the same point as ProjectivePoint of
+    their Fractions, with no Fraction built."""
+    (a, p), (b, q), (c, r) = map(_parse_coeff, triple)
+    den = math.lcm(p, q, r)
+    return ProjectivePoint._of_canonical(
+        field, _primitive_scalars(a * (den // p), b * (den // q), c * (den // r)))
 
 
 def dumps(obj) -> str:
@@ -153,13 +162,13 @@ def dumps(obj) -> str:
 
 
 def save_configuration(config: Configuration, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(config_to_json(config)))
 
 
 def load_configuration(path: str) -> Configuration:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SerializationError(f"{path} is not valid JSON: {exc}") from exc

@@ -636,11 +636,19 @@ def test_key_error_from_a_handler_propagates(tmp_path, capsys, monkeypatch):
         main(["analyze", str(path)])
 
 
-def test_module_entry_point(tmp_path):
-    # the child imports the package this session tests, installed or not
+def _child_env(**extra):
+    """The environment of a `python -m linespectra` child: it imports the
+    package under test, installed or not, with Python's default stdio
+    buffering."""
     src = str(Path(cli_mod.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_module_entry_point(tmp_path):
+    env = _child_env()
     path = tmp_path / "c.json"
     proc = subprocess.run(
         [sys.executable, "-m", "linespectra", "generate", "grid",
@@ -656,10 +664,76 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_check_into_a_closed_pipe_exits_1_with_one_error_line(tmp_path, fmt):
+    # the JSON document outgrows stdout's buffer and fails in main's write;
+    # the CSV one fits it, and only entry()'s flush meets the closed pipe
+    path = tmp_path / "c.json"
+    save_configuration(boroczky(12), str(path))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "linespectra", "check", str(path), "--format", fmt],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_check_out_writes_the_whole_document_and_nothing_to_stdout(tmp_path):
+    path, out = tmp_path / "c.json", tmp_path / "out.json"
+    save_configuration(boroczky(12), str(path))
+    argv = [sys.executable, "-m", "linespectra", "check", str(path)]
+    full = subprocess.run(argv, capture_output=True, text=True, env=_child_env())
+    proc = subprocess.run([*argv, "--out", str(out)], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == full.returncode == 0
+    assert proc.stdout == proc.stderr == ""
+    assert out.read_text(encoding="utf-8") == full.stdout
+
+
+def test_every_command_opens_text_files_as_utf8(tmp_path):
+    # EncodingWarning flags each file opened in the locale's encoding, and
+    # -W error makes it fail the child; the second local search reads the
+    # checkpoint the first one wrote
+    def child(*argv, flags=("-X", "warn_default_encoding", "-W", "error::EncodingWarning"),
+              **extra):
+        proc = subprocess.run([sys.executable, *flags, "-m", "linespectra", *argv],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=_child_env(**extra))
+        assert proc.returncode == 0, (argv, proc.stderr)
+        return proc
+
+    child("generate", "grid", "--a", "3", "--b", "3", "--out", "g.json")
+    child("analyze", "g.json", "--out", "a.json")
+    child("check", "g.json", "--out", "c.json")
+    child("render", "g.json", "--out", "g.svg")
+    search = ("search", "local", "--n", "6", "--cap", "3", "--iterations", "20",
+              "--restarts", "1", "--checkpoint", "ck.json", "--out")
+    child(*search, "s1.json")
+    child(*search, "s2.json")
+    assert (tmp_path / "s1.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
+    # a UTF-8 label reads back under an ASCII locale
+    label = "B\u00f6r\u00f6czky \u03b6"
+    (tmp_path / "u.json").write_text(json.dumps(
+        {"field": {"kind": "rational"}, "label": label,
+         "points": [[1, 0, 1], [0, 1, 1], [1, 1, 1]]}, ensure_ascii=False), encoding="utf-8")
+    proc = child("check", "u.json", flags=("-X", "utf8=0"),
+                 LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    assert json.loads(proc.stdout)["result"]["label"] == label
+
+
 # Runs `python -m linespectra ARGV` in the child and prints the sorted names
 # in sys.modules to stderr once the command has returned.
 _MODULES_PROBE = """
-import runpy, sys
+import os, runpy, sys
+def _exit(code):
+    raise SystemExit(code)
+os._exit = _exit  # entry() ends in os._exit, which would skip the print below
 sys.argv = ["linespectra", *sys.argv[1:]]
 try:
     runpy.run_module("linespectra", run_name="__main__", alter_sys=True)
@@ -674,12 +748,9 @@ def test_check_and_analyze_load_only_what_they_run(tmp_path, command):
     # the import graph is a contract: search, render, constructions and the
     # heavy standard modules stay out of a check or analyze child
     save_configuration(boroczky(4), str(tmp_path / "c.json"))
-    src = str(Path(cli_mod.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", _MODULES_PROBE, command, str(tmp_path / "c.json")],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     code, *modules = proc.stderr.split()
     assert code == "0"

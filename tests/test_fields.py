@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,24 @@ from linespectra import (
     quadratic_field,
     rational_field,
 )
-from linespectra.fields import _adjugate, _galois, _is_prime, _mul_intvec, _screen, _unit_tower
+from linespectra import projective
+from linespectra.constructions import boroczky, fermat, random_config, sylvester_cubic
+from linespectra.fields import (
+    _adjugate,
+    _factorize,
+    _galois,
+    _is_prime,
+    _mul_intvec,
+    _screen,
+    _unit_tower,
+)
+from linespectra.projective import (
+    Configuration,
+    GeometryError,
+    ProjectivePoint,
+    apply_projective_map,
+    spectrum,
+)
 
 Q = rational_field()
 Q3 = cyclotomic_field(3)
@@ -181,6 +199,67 @@ def test_quadratic_screen_maps_sqrt_d_to_a_square_root_of_d(d):
     # -1 has no square root mod p = 3 (mod 4), the primes tried for other d
     p, (one, root) = _screen(quadratic_field(d))
     assert _is_prime(p) and one == 1 and root * root % p == d % p
+    # one CPython digit: the screen's products never take a long division
+    assert 2 ** 29 < p < 2 ** 30
+
+
+def test_cyclotomic_screens_take_a_one_digit_prime_and_a_root_of_order_n():
+    # every N the families reach: 16, 60 and 80 in the benchmark, 180 for
+    # boroczky(90)
+    for N in range(1, 201):
+        field = cyclotomic_field(N)
+        p, residues = _screen(field)
+        assert _is_prime(p) and 2 ** 29 < p < 2 ** 30 and p % N == 1 % N, N
+        if field.degree == 1:  # zeta_1 = 1 and zeta_2 = -1 are rational
+            assert residues == (1,), N
+            continue
+        root = residues[1]
+        assert pow(root, N, p) == 1, N
+        assert all(pow(root, N // q, p) != 1 for q in _factorize(N)), N
+        assert residues == tuple(pow(root, k, p) for k in range(field.degree)), N
+
+
+def _quadratic_image(n, seed):
+    # random_config(n, seed) embedded in Q(sqrt 2) and moved by a seeded
+    # invertible matrix whose entries involve sqrt 2
+    fld = quadratic_field(2)
+    embedded = Configuration(fld, tuple(
+        ProjectivePoint([fld.from_rational(c.coeffs[0]) for c in p.coords], fld)
+        for p in random_config(n, seed).points))
+    rng = random.Random(seed)
+    while True:
+        matrix = [[fld.element([rng.randint(-3, 3), rng.randint(-3, 3)]) for _ in range(3)]
+                  for _ in range(3)]
+        try:
+            return apply_projective_map(embedded, matrix)
+        except GeometryError:
+            continue
+
+
+def test_extension_inputs_of_benchmark_size_never_fall_back_to_exact_keys(monkeypatch):
+    # with p just above 2^29 the screen keeps every row of these inputs:
+    # no repeated key fails its certificate, and no row is keyed again by
+    # the exact canonical form
+    configs = [boroczky(30), sylvester_cubic(20), fermat(16), _quadratic_image(200, 19)]
+    calls = Counter()
+    canonical, on_line_mod = projective._canonical, projective._on_line_mod
+
+    def counting_canonical(*args):
+        calls["canonical"] += 1
+        return canonical(*args)
+
+    def counting_on_line_mod(*args):
+        result = on_line_mod(*args)
+        calls["certified"] += 1
+        calls["failed"] += not result
+        return result
+
+    monkeypatch.setattr(projective, "_canonical", counting_canonical)
+    monkeypatch.setattr(projective, "_on_line_mod", counting_on_line_mod)
+    for config in configs:
+        spectrum(config)
+    assert calls["canonical"] == 0 and calls["failed"] == 0
+    assert calls["certified"] > 0
 
 
 def test_field_descriptor_validation():

@@ -4,7 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from linespectra.cli import main
 from linespectra.constructions import boroczky, fermat, grid
 from linespectra.fields import cyclotomic_field, quadratic_field, rational_field
 from linespectra.inequalities import all_reports
@@ -219,6 +222,67 @@ def test_config_from_json_still_rejects_duplicates():
     data = {"field": {"kind": "rational"}, "points": [["1", "0", "1"], ["2", "0", "2"]]}
     with pytest.raises(GeometryError):
         config_from_json(data)
+
+
+def _fraction_point(triple):
+    """The rational point of a coordinate triple as it was loaded before the
+    integer route: one Fraction per coordinate."""
+    return ProjectivePoint([parse_frac(c) for c in triple])
+
+
+_digits = st.integers(0, 10 ** 30)
+_coordinate = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30),
+    st.builds("{}/{}".format, _digits, _digits.filter(bool)),
+    st.builds("-{}/{}".format, _digits, _digits.filter(bool)),
+    st.sampled_from([0, "0", "-0", "0/3"]),
+)
+_triple = st.one_of(
+    st.lists(_coordinate, min_size=3, max_size=3),
+    st.tuples(_coordinate, _coordinate, st.sampled_from([0, "0", "0/7"])).map(list),
+    st.tuples(_coordinate, st.sampled_from([0, "0"]), st.sampled_from([0, "-0/2"])).map(list),
+)
+
+
+@given(_triple)
+def test_rational_load_gives_the_points_of_the_fraction_route(triple):
+    # zeros, points at infinity and unreduced "p/q" literals included
+    data = {"field": {"kind": "rational"}, "points": [triple]}
+    try:
+        want = _fraction_point(triple)
+    except GeometryError as exc:
+        with pytest.raises(GeometryError) as raised:
+            config_from_json(data)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return
+    (got,) = config_from_json(data).points
+    assert got == want and got.intvecs == want.intvecs
+
+
+BAD_RATIONAL_POINTS = {
+    "zero-triple": ([["0", "0/5", 0]], GeometryError),
+    "duplicate": ([["1/2", "1", "1"], ["1", "2", "2"]], GeometryError),
+    "float": ([[0.5, "1", "1"]], SerializationError),
+    "bool": ([["1", False, "1"]], SerializationError),
+    "non-canonical-literal": ([["1", "2", "1/00"]], SerializationError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_RATIONAL_POINTS))
+def test_rational_load_errors_are_the_fraction_routes(tmp_path, capsys, name):
+    points, error = BAD_RATIONAL_POINTS[name]
+    with pytest.raises(error) as want:
+        Configuration(rational_field(), tuple(_fraction_point(t) for t in points))
+    data = {"field": {"kind": "rational"}, "points": points}
+    with pytest.raises(error) as got:
+        config_from_json(data)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for command in ("analyze", "check"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_spectrum_json_shape():
