@@ -5,7 +5,9 @@ its coordinates as integer coefficient vectors, multiplied by the adjugate
 of the first nonzero coordinate (turning it into its norm, a rational
 integer), then made primitive with that coordinate positive.  Equal
 projective objects have equal forms, so they compare and hash alike, and
-field elements are built only when `coords` is read.  line_through is the
+field elements are built only when `coords` is read.  A tuple of three ints
+over Q, as the rational generators and the loader pass, is made primitive by
+_primitive_scalars, _canonical written out on ints.  line_through is the
 canonical form of a cross product; collinear is the exact vanishing of
 p . (q x r) (_on_line), in integer arithmetic with no screen.
 
@@ -159,6 +161,16 @@ class _HomogeneousTriple:
     __slots__ = ("field", "intvecs")
 
     def __new__(cls, coords, field: FieldDescriptor | None = None):
+        """The triple of `coords` over `field`, or over the coordinates'
+        field if None.  A tuple of three ints (not bools) over Q is made
+        primitive by _primitive_scalars, _canonical in degree 1; every
+        other input is cleared of denominators by _coerce_triple and
+        canonicalised by _canonical.  Both give the same form."""
+        if (type(coords) is tuple and len(coords) == 3
+                and (field is None or field.kind == RATIONAL)
+                and type(coords[0]) is int and type(coords[1]) is int
+                and type(coords[2]) is int):
+            return cls._of_canonical(field or rational_field(), _primitive_scalars(*coords))
         fld, vecs = _coerce_triple(coords, field)
         return cls._of_canonical(fld, _canonical(fld, vecs))
 

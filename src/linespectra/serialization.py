@@ -1,8 +1,11 @@
 """JSON and CSV encodings for configurations, spectra, reports, records.
 
 JSON is the lossless interchange format; every exact rational is carried as a
-"p/q" (or "p") string so nothing ever rounds.  CSV is a flat display-oriented
-view with decimal approximations, clearly labeled as such.
+"p/q" (or "p") string so nothing ever rounds.  A configuration's points are
+written from their canonical integer vectors (config_to_json) and, over Q,
+read back as int triples for ProjectivePoint (_rational_point): no field
+element is built either way.  CSV is a flat display-oriented view with
+decimal approximations, clearly labeled as such.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 from .fields import FieldDescriptor, FieldElement, FieldError
-from .projective import Configuration, LineSpectrum, ProjectivePoint, _primitive_scalars
+from .projective import Configuration, LineSpectrum, ProjectivePoint
 
 
 class SerializationError(ValueError):
@@ -38,26 +41,28 @@ def parse_frac(data) -> Fraction:
     raise SerializationError(f"exact rational expected, got {type(data).__name__}")
 
 
-def _is_ascii_digits(text: str) -> bool:
-    return text.isascii() and text.isdigit()
-
-
 def _parse_coeff(data) -> tuple:
     """(num, den), den > 0 and not always coprime, of the rational that
-    parse_frac reads from `data`.  A JSON int or a canonical "p" or "p/q"
-    literal (ASCII digits, a leading "-" at most, q > 0) is read with int();
-    every other value goes through parse_frac, so the accepted inputs and
+    parse_frac reads from `data`, with no Fraction built for a JSON int or
+    a string int() reads.  Every string int() accepts ("7", "-7", " +1_0 ",
+    Unicode decimal digits) is one Fraction accepts as the same integer, and
+    so is "p/q" when p is such a string ending in a decimal digit and q is
+    nonzero decimal digits: Fraction allows no space or sign around "/".
+    Every other value goes through parse_frac, so the accepted inputs and
     the errors are parse_frac's."""
-    if type(data) is int:
-        return data, 1
     if type(data) is str:
         num, slash, den = data.partition("/")
-        if (_is_ascii_digits(num[1:] if num[:1] == "-" else num)
-                and (not slash or _is_ascii_digits(den) and den.strip("0"))):
-            try:
-                return int(num), int(den) if slash else 1
-            except ValueError:  # beyond int()'s digit limit, like Fraction's
-                pass
+        try:
+            if not slash:
+                return int(data), 1
+            if den.isdecimal() and num[-1:].isdecimal():
+                q = int(den)
+                if q:
+                    return int(num), q
+        except ValueError:  # not int()'s syntax, or beyond its digit limit
+            pass
+    elif type(data) is int:
+        return data, 1
     f = parse_frac(data)
     return f.numerator, f.denominator
 
@@ -87,13 +92,6 @@ def _coeff_str(n: int, den: int) -> str:
     return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
-def element_to_json(e: FieldElement):
-    den = e.den
-    if e.field.kind == "rational":
-        return _coeff_str(e.nums[0], den)
-    return [_coeff_str(n, den) for n in e.nums]
-
-
 def element_from_json(field: FieldDescriptor, data) -> FieldElement:
     if field.kind == "rational":
         num, den = _parse_coeff(data)
@@ -113,13 +111,29 @@ def element_from_json(field: FieldDescriptor, data) -> FieldElement:
 # Configurations.
 
 def config_to_json(config: Configuration) -> Dict:
+    """The configuration's JSON object.  Each point is written from its
+    canonical integer vectors, every coefficient over the pivot (the first
+    nonzero coordinate's first entry, a positive integer) in lowest terms:
+    the coefficients of `coords`, with no field element built."""
+    write = _rational_point_json if config.field.kind == "rational" else _point_json
     return {
         "field": field_to_json(config.field),
         "label": config.label,
-        "points": [
-            [element_to_json(c) for c in p.coords] for p in config.points
-        ],
+        "points": [write(p.intvecs) for p in config.points],
     }
+
+
+def _rational_point_json(vecs) -> list:
+    """The "p/q" literals of a point over Q from its scalar vectors."""
+    (a,), (b,), (c,) = vecs
+    pivot = a or b or c
+    return [_coeff_str(a, pivot), _coeff_str(b, pivot), _coeff_str(c, pivot)]
+
+
+def _point_json(vecs) -> list:
+    """The coefficient arrays of a point over an extension field."""
+    pivot = next(v[0] for v in vecs if any(v))
+    return [[_coeff_str(x, pivot) for x in v] for v in vecs]
 
 
 def config_from_json(data) -> Configuration:
@@ -148,13 +162,13 @@ def config_from_json(data) -> Configuration:
 
 
 def _rational_point(field: FieldDescriptor, triple) -> ProjectivePoint:
-    """The point of three rational coordinates, made primitive straight
-    from their _parse_coeff pairs: the same point as ProjectivePoint of
-    their Fractions, with no Fraction built."""
+    """The point of three rational coordinates: their _parse_coeff pairs
+    over a common denominator, an int triple that ProjectivePoint makes
+    primitive.  The same point as ProjectivePoint of their Fractions, with
+    no Fraction built."""
     (a, p), (b, q), (c, r) = map(_parse_coeff, triple)
     den = math.lcm(p, q, r)
-    return ProjectivePoint._of_canonical(
-        field, _primitive_scalars(a * (den // p), b * (den // q), c * (den // r)))
+    return ProjectivePoint((a * (den // p), b * (den // q), c * (den // r)), field)
 
 
 def dumps(obj) -> str:

@@ -20,10 +20,12 @@ from linespectra.constructions import (
     near_pencil,
     random_config,
     sylvester_cubic,
+    two_lines,
 )
 from linespectra import projective
 from linespectra.fields import (
     QUADRATIC,
+    FieldElement,
     _is_prime,
     _nth_root_mod,
     cyclotomic_field,
@@ -46,6 +48,7 @@ from linespectra.projective import (
     spectrum,
     spectrum_from_lines,
 )
+from linespectra.serialization import config_from_json, config_to_json
 
 Q = rational_field()
 Q2 = quadratic_field(2)
@@ -109,6 +112,47 @@ def test_scalar_multiples_are_the_same_point():
 def test_zero_triple_rejected():
     with pytest.raises(GeometryError):
         pt(0, 0, 0)
+
+
+def _as_fraction(c):
+    return c.coeffs[0] if isinstance(c, FieldElement) else Fraction(c)
+
+
+_int = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80))
+_mixed = st.one_of(
+    _int,
+    st.booleans(),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9)),
+    st.builds(lambda n: Q.from_rational(Fraction(n, 3)), st.integers(-50, 50)),
+)
+
+
+@given(st.one_of(st.tuples(_int, _int, _int), st.tuples(_mixed, _mixed, _mixed)),
+       st.sampled_from([None, Q]))
+def test_int_triples_are_the_points_of_their_fractions(triple, field):
+    # a tuple of three ints takes the int route, every other triple the
+    # generic one: both give the Fraction route's form, field and hash
+    try:
+        want = ProjectivePoint([_as_fraction(c) for c in triple], field)
+    except GeometryError:
+        with pytest.raises(GeometryError, match="^the zero triple is not projective$"):
+            ProjectivePoint(triple, field)
+        return
+    got = ProjectivePoint(triple, field)
+    assert got.intvecs == want.intvecs and got.field == want.field == Q
+    assert hash(got) == hash(want) and got == want
+
+
+def test_int_triples_keep_their_field_and_the_zero_error():
+    # ints over an extension field still take the generic route
+    for fld in (Q2, Z5):
+        got = ProjectivePoint((2, -4, 6), fld)
+        assert got.field == fld
+        assert got == ProjectivePoint([fld.from_rational(c) for c in (1, -2, 3)], fld)
+    assert ProjectivePoint((2 ** 70, 0, -2 ** 71)).intvecs == ((1,), (0,), (-2,))
+    for triple in ((0, 0, 0), (0, False, 0), [0, 0, 0]):
+        with pytest.raises(GeometryError, match="^the zero triple is not projective$"):
+            ProjectivePoint(triple)
 
 
 # --- collinearity and joins ---
@@ -403,6 +447,61 @@ def test_spectrum_matches_oracle_lines(name):
     lines = oracle_spanned_lines(config)
     assert spectrum(config) == spectrum_from_lines(config.n, lines)
     assert list(spanned_lines(config).items()) == list(lines.items())
+
+
+def _coeffs_json(config):
+    # the writer's oracle: str of each Fraction coefficient of coords
+    if config.field.kind == "rational":
+        return [[str(c.coeffs[0]) for c in p.coords] for p in config.points]
+    return [[[str(x) for x in c.coeffs] for c in p.coords] for p in config.points]
+
+
+WRITTEN_FAMILIES = {
+    "family-fermat": lambda: fermat(5),
+    "family-boroczky": lambda: boroczky(5),
+    "family-sylvester-cubic": lambda: sylvester_cubic(3),
+    "family-two-lines": lambda: two_lines(4),
+    "family-near-pencil": lambda: near_pencil(6),
+    "family-grid": lambda: grid(3, 4),
+    "family-random": lambda: random_config(25, seed=4),
+    "family-random-Q2": lambda: _embed(Q2, random_config(12, seed=4)),
+    "family-near-pencil-Qm3": lambda: _embed(Qm3, near_pencil(5)),
+    "family-two-lines-Z5": lambda: _embed(Z5, two_lines(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES) + sorted(WRITTEN_FAMILIES))
+def test_config_json_is_written_from_the_coefficients_of_coords(name):
+    config = (ORACLE_CASES.get(name) or WRITTEN_FAMILIES[name])()
+    data = config_to_json(config)
+    assert data["points"] == _coeffs_json(config)
+    assert config_from_json(data) == config
+
+
+def test_rational_inputs_of_benchmark_size_never_fall_back_to_exact_keys(monkeypatch):
+    # the slope screen keys every row of these inputs: no repeated key fails
+    # its certificate, and no row is keyed again by _primitive_cross
+    configs = [random_config(300, seed) for seed in (1, 5, 201)]
+    configs += [grid(20, 20), random_config(2200, 5)]
+    calls = Counter()
+    primitive_cross, on_line_mod = projective._primitive_cross, projective._on_line_mod
+
+    def counting_primitive_cross(*args):
+        calls["exact"] += 1
+        return primitive_cross(*args)
+
+    def counting_on_line_mod(*args):
+        result = on_line_mod(*args)
+        calls["certified"] += 1
+        calls["failed"] += not result
+        return result
+
+    monkeypatch.setattr(projective, "_primitive_cross", counting_primitive_cross)
+    monkeypatch.setattr(projective, "_on_line_mod", counting_on_line_mod)
+    for config in configs:
+        spectrum(config)
+    assert calls["exact"] == 0 and calls["failed"] == 0
+    assert calls["certified"] > 0
 
 
 # --- forked stripes ---

@@ -1,5 +1,7 @@
 """JSON and CSV encodings: round trips, validation, frozen shapes."""
 
+import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -8,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from linespectra.cli import main
-from linespectra.constructions import boroczky, fermat, grid
+from linespectra import fields, projective
+from linespectra.constructions import boroczky, fermat, grid, random_config
 from linespectra.fields import cyclotomic_field, quadratic_field, rational_field
 from linespectra.inequalities import all_reports
 from linespectra.projective import Configuration, GeometryError, ProjectivePoint, spectrum
@@ -19,7 +22,6 @@ from linespectra.serialization import (
     config_to_json,
     dumps,
     element_from_json,
-    element_to_json,
     field_from_json,
     field_to_json,
     frac_str,
@@ -89,6 +91,21 @@ def test_coefficient_parsing_matches_fractions(literal):
     assert got == want
 
 
+# digits, signs, separators, ASCII and Unicode spaces, a Unicode decimal
+# digit and a superscript digit
+_TOKENS = ["0", "1", "-", "+", "_", " ", "\u2003", ".", "e", "\u0661", "\u00b2"]
+_PIECES = ["".join(t) for k in range(3) for t in itertools.product(_TOKENS, repeat=k)]
+
+
+def test_coefficient_parsing_matches_fractions_on_every_short_text():
+    # the outcomes of test_coefficient_parsing_matches_fractions on every
+    # string of at most two tokens, and every two such strings around "/"
+    Q = rational_field()
+    for literal in _PIECES + [f"{a}/{b}" for a in _PIECES for b in _PIECES]:
+        got = _outcome(element_from_json, Q, literal)
+        assert got == _outcome(_fraction_element, Q, literal), literal
+
+
 def test_field_round_trips():
     for field in (rational_field(), quadratic_field(2), quadratic_field(-3),
                   __import__("linespectra.fields", fromlist=["cyclotomic_field"]).cyclotomic_field(7)):
@@ -125,18 +142,26 @@ def test_field_from_json_rejects_inexact_parameters(data):
         field_from_json(data)
 
 
+def _written_element(e):
+    # the JSON of e as config_to_json writes it: the middle coordinate of
+    # the point (1 : e : 0), whose pivot is 1
+    field = e.field
+    config = Configuration(field, (ProjectivePoint((field.one(), e, field.zero()), field),))
+    return config_to_json(config)["points"][0][1]
+
+
 def test_element_round_trips():
     Q = rational_field()
     e = Q.from_rational(Fraction(-5, 3))
-    assert element_from_json(Q, element_to_json(e)) == e
+    assert element_from_json(Q, _written_element(e)) == e
     F = quadratic_field(5)
     e = F.element([Fraction(1, 2), Fraction(-2, 7)])
-    assert element_from_json(F, element_to_json(e)) == e
+    assert element_from_json(F, _written_element(e)) == e
     from linespectra.fields import cyclotomic_field
 
     Z = cyclotomic_field(5)
     e = (Z.zeta() + Z.one()) ** 3
-    assert element_from_json(Z, element_to_json(e)) == e
+    assert element_from_json(Z, _written_element(e)) == e
 
 
 def test_element_from_json_checks_degree():
@@ -162,6 +187,43 @@ def test_config_round_trips_across_field_kinds():
         rebuilt = config_from_json(config_to_json(config))
         assert rebuilt == config
         assert rebuilt.label == config.label
+
+
+# sha256 of the inputs the benchmark writes and checks at its full size
+PINNED_SAVED = {
+    "random(3000, 5)": (lambda: random_config(3000, 5),
+                        "f9ab41764ee3afef327c10398fe6dd1b2bc801b565dc28b64b81a5474e1eba14"),
+    "grid(20, 20)": (lambda: grid(20, 20),
+                     "3395cef6879b5f9784ea61e5b33f824c5f744e6f0ccad0adfbd04682752efa8d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SAVED))
+def test_saved_bytes_of_benchmark_size_are_pinned(tmp_path, name):
+    make, digest = PINNED_SAVED[name]
+    path = tmp_path / "config.json"
+    save_configuration(make(), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SAVED))
+def test_integer_configurations_are_built_and_written_from_integers(tmp_path, monkeypatch, name):
+    # no field element, no _coerce_triple and no _canonical from the
+    # generator to the saved file
+    calls = []
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            calls.append(key)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fields.FieldElement, "__init__",
+                        counting(fields.FieldElement.__init__, "FieldElement"))
+    for key in ("_coerce_triple", "_canonical"):
+        monkeypatch.setattr(projective, key, counting(getattr(projective, key), key))
+    save_configuration(PINNED_SAVED[name][0](), str(tmp_path / "config.json"))
+    assert calls == []
 
 
 def test_save_and_load_configuration(tmp_path):
