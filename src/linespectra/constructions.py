@@ -1,22 +1,23 @@
 """Generators for the named extremal point configurations.
 
 Each generator returns a Configuration over the smallest field of the
-supported kinds that represents its coordinates exactly.  Where a family has
-a closed-form line spectrum, expected_spectrum returns it (with the small-m
-bucket merges applied), so generated output can be verified without running
-the spectrum computation.
+supported kinds that represents its coordinates exactly, built from integer
+vectors: int triples over Q, and over Q(zeta_N) rows of the power table
+_powers(N) and their _mul_intvec products.  Where a family has a closed-form
+line spectrum, expected_spectrum returns it (with the small-m bucket merges
+applied), so generated output can be verified without running the spectrum
+computation.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .fields import (
     FieldDescriptor,
-    FieldElement,
+    _mul_intvec,
     _powers,
     cyclotomic_field,
     rational_field,
@@ -41,18 +42,17 @@ def _trig_field(m: int) -> FieldDescriptor:
 
 
 def _cos_sin(field: FieldDescriptor, numerator: int):
-    """Exact (cos, sin) of the angle 2*pi*numerator/L in Q(zeta_L), 4 | L:
-    with w = zeta_L^numerator, cos = (w + w^-1) / 2 and sin = (w - w^-1) / 2i.
-    zeta^k, zeta^(L-k) and zeta^(3L/4) = 1/i are rows of the power table
-    _powers(L), already reduced modulo Phi_L."""
+    """Integer vectors (C, S) with (cos, sin) = (C, S) / 2 for the angle
+    2*pi*numerator/L in Q(zeta_L), 4 | L: with w = zeta_L^numerator,
+    C = w + w^-1 and S = (w - w^-1) / i.  zeta^k, zeta^(L-k) and
+    zeta^(3L/4) = 1/i are rows of the power table _powers(L), already
+    reduced modulo Phi_L."""
     L = field.N
     powers = _powers(L)
     k = numerator % L
-    zk = FieldElement(field, powers[k])
-    zmk = FieldElement(field, powers[-k % L])
-    half = field.from_rational(Fraction(1, 2))
-    neg_i = FieldElement(field, powers[3 * L // 4])
-    return (zk + zmk) * half, (zk - zmk) * half * neg_i
+    zk, zmk = powers[k], powers[-k % L]
+    diff = tuple(x - y for x, y in zip(zk, zmk))
+    return tuple(x + y for x, y in zip(zk, zmk)), _mul_intvec(field, diff, powers[3 * L // 4])
 
 
 def fermat(m: int) -> Configuration:
@@ -62,35 +62,29 @@ def fermat(m: int) -> Configuration:
     a + b + c = 0 (mod m); the three side lines carry m points each."""
     _require(m >= 3, f"fermat wants m >= 3, got {m}")
     field = cyclotomic_field(m)
-    one, zero = field.one(), field.zero()
-    w = field.zeta()
-    pts = []
-    powers = [w ** j for j in range(m)]
-    for j in range(m):
-        pts.append(ProjectivePoint((one, -powers[j], zero), field))
-    for j in range(m):
-        pts.append(ProjectivePoint((zero, one, -powers[j]), field))
-    for j in range(m):
-        pts.append(ProjectivePoint((-powers[j], zero, one), field))
-    return Configuration(field, tuple(pts), label=f"fermat(m={m})")
+    one, zero = _powers(m)[0], (0,) * field.degree
+    minus = [tuple(-x for x in w) for w in _powers(m)]
+    triples = ([(one, w, zero) for w in minus] + [(zero, one, w) for w in minus]
+               + [(w, zero, one) for w in minus])
+    pts = tuple(ProjectivePoint._of_vectors(field, t) for t in triples)
+    return Configuration(field, pts, label=f"fermat(m={m})")
 
 
 def boroczky(m: int) -> Configuration:
     """2m real points: m on the unit circle at angles 2*pi*j/m and the m
     directions (-sin(pi*k/m) : cos(pi*k/m) : 0) on the line at infinity.
     The chord through circle points a and b meets infinity at k = a + b
-    (mod m); the tangent at a meets it at k = 2a (mod m)."""
+    (mod m); the tangent at a meets it at k = 2a (mod m).  For (C, S) from
+    _cos_sin, they are (C : S : 2) and (-S : C : 0)."""
     _require(m >= 3, f"boroczky wants m >= 3, got {m}")
     field = _trig_field(m)
     L = field.N
-    one, zero = field.one(), field.zero()
-    pts = []
-    for j in range(m):
-        c, s = _cos_sin(field, j * (L // m))
-        pts.append(ProjectivePoint((c, s, one), field))
-    for k in range(m):
-        c, s = _cos_sin(field, k * (L // (2 * m)))
-        pts.append(ProjectivePoint((-s, c, zero), field))
+    zero = (0,) * field.degree
+    two = (2,) + zero[1:]
+    pts = [ProjectivePoint._of_vectors(field, (c, s, two))
+           for c, s in (_cos_sin(field, j * (L // m)) for j in range(m))]
+    pts += [ProjectivePoint._of_vectors(field, (tuple(-x for x in s), c, zero))
+            for c, s in (_cos_sin(field, k * (L // (2 * m))) for k in range(m))]
     return Configuration(field, tuple(pts), label=f"boroczky(m={m})")
 
 
@@ -103,7 +97,7 @@ def sylvester_cubic(k: int) -> Configuration:
     are collinear).  This gives roughly n^2/6 spanned lines.  A cusp-model
     cubic cannot do that: its smooth points form the torsion-free group
     (R, +), which caps the three-point-line density well below n^2/6; hence
-    the acnodal model."""
+    the acnodal model.  P_j = (4S : -4C : S^3) for (C, S) from _cos_sin."""
     _require(k >= 2, f"sylvester_cubic wants k >= 2, got {k}")
     m = 2 * k
     field = _trig_field(m)
@@ -111,7 +105,9 @@ def sylvester_cubic(k: int) -> Configuration:
     pts = [ProjectivePoint((0, 1, 0), field)]
     for j in range(1, m):
         c, s = _cos_sin(field, j * (L // (2 * m)))
-        pts.append(ProjectivePoint((s, -c, s * s * s), field))
+        cube = _mul_intvec(field, _mul_intvec(field, s, s), s)
+        pts.append(ProjectivePoint._of_vectors(
+            field, (tuple(4 * x for x in s), tuple(-4 * x for x in c), cube)))
     return Configuration(field, tuple(pts), label=f"sylvester_cubic(k={k})")
 
 

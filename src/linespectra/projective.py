@@ -5,11 +5,13 @@ its coordinates as integer coefficient vectors, multiplied by the adjugate
 of the first nonzero coordinate (turning it into its norm, a rational
 integer), then made primitive with that coordinate positive.  Equal
 projective objects have equal forms, so they compare and hash alike, and
-field elements are built only when `coords` is read.  A tuple of three ints
-over Q, as the rational generators and the loader pass, is made primitive by
-_primitive_scalars, _canonical written out on ints.  line_through is the
-canonical form of a cross product; collinear is the exact vanishing of
-p . (q x r) (_on_line), in integer arithmetic with no screen.
+field elements are built only when `coords` is read.  Every package route
+builds its points from integer vectors: a tuple of three ints over Q, as the
+rational generators and loader pass, is made primitive by _primitive_scalars,
+_canonical written out on ints, and every other route hands coefficient
+vectors to _HomogeneousTriple._of_vectors.  line_through is the canonical
+form of a cross product; collinear is the exact vanishing of p . (q x r)
+(_on_line), in integer arithmetic with no screen.
 
 Every spanned-line count comes from one kernel, _screened_rows: for each
 point i it keys the later points j > i by the line through i and j, in one
@@ -81,28 +83,26 @@ class InternalError(RuntimeError):
 
 
 def _coerce_triple(coords, field: FieldDescriptor | None):
-    """The field and the integer coefficient vectors of a coordinate triple
-    (ints, Fractions or FieldElements, never floats), cleared of
-    denominators."""
+    """The field and the integer coefficient vectors of any number of
+    coordinates (ints, Fractions or FieldElements, never floats), cleared of
+    denominators over one lcm: the integer vectors that every package route
+    builds points from, here from a triple or a projective map's entries."""
     items = list(coords)
-    if len(items) != 3:
-        raise GeometryError(f"homogeneous triple wants 3 coordinates, got {len(items)}")
     fields = {c.field for c in items if isinstance(c, FieldElement)}
     if field is not None:
         fields.add(field)
     if len(fields) > 1:
-        raise FieldMismatchError("mixed fields in one coordinate triple")
+        raise FieldMismatchError("mixed fields in one coordinate triple or matrix")
     field = fields.pop() if fields else rational_field()
     pad = (0,) * (field.degree - 1)
     pairs = []
     for c in items:
         if isinstance(c, FieldElement):
             pairs.append((c.nums, c.den))
+        elif isinstance(c, float):
+            raise GeometryError(f"coordinates must be exact, got the float {c!r}")
         else:
-            if not isinstance(c, (int, Fraction)):
-                if isinstance(c, float):
-                    raise GeometryError(f"coordinates must be exact, got the float {c!r}")
-                c = Fraction(c)
+            c = c if isinstance(c, (int, Fraction)) else Fraction(c)
             pairs.append(((c.numerator,) + pad, c.denominator))
     lcm = math.lcm(*[den for _, den in pairs])
     return field, tuple(nums if den == lcm else tuple(x * (lcm // den) for x in nums)
@@ -165,14 +165,21 @@ class _HomogeneousTriple:
         field if None.  A tuple of three ints (not bools) over Q is made
         primitive by _primitive_scalars, _canonical in degree 1; every
         other input is cleared of denominators by _coerce_triple and
-        canonicalised by _canonical.  Both give the same form."""
+        passed to _of_vectors.  Both give the same form."""
         if (type(coords) is tuple and len(coords) == 3
                 and (field is None or field.kind == RATIONAL)
                 and type(coords[0]) is int and type(coords[1]) is int
                 and type(coords[2]) is int):
             return cls._of_canonical(field or rational_field(), _primitive_scalars(*coords))
         fld, vecs = _coerce_triple(coords, field)
-        return cls._of_canonical(fld, _canonical(fld, vecs))
+        if len(vecs) != 3:
+            raise GeometryError(f"homogeneous triple wants 3 coordinates, got {len(vecs)}")
+        return cls._of_vectors(fld, vecs)
+
+    @classmethod
+    def _of_vectors(cls, field: FieldDescriptor, vecs):
+        """The triple of a nonzero triple of integer coefficient vectors."""
+        return cls._of_canonical(field, _canonical(field, vecs))
 
     @classmethod
     def _of_canonical(cls, field: FieldDescriptor, vecs):
@@ -737,33 +744,21 @@ def spectrum(config: Configuration, workers: int = 1) -> LineSpectrum:
 # ---------------------------------------------------------------------------
 # Projective maps.
 
-def _as_matrix(field: FieldDescriptor, matrix):
-    m = tuple(
-        tuple(c if isinstance(c, FieldElement) else field.from_rational(c) for c in row)
-        for row in matrix
-    )
-    if len(m) != 3 or any(len(row) != 3 for row in m):
-        raise GeometryError("projective map wants a 3x3 matrix")
-    if any(c.field != field for row in m for c in row):
-        raise FieldMismatchError("matrix entries must share the configuration field")
-    return m
-
-
-def matrix_determinant(m) -> FieldElement:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def apply_projective_map(config: Configuration, matrix) -> Configuration:
-    """Image of the configuration under an invertible 3x3 matrix over its field."""
-    m = _as_matrix(config.field, matrix)
-    if matrix_determinant(m).is_zero():
+    """Image of the configuration under an invertible 3x3 matrix over its
+    field, on integer vectors: the nine entries are cleared over one lcm,
+    the matrix is invertible exactly when row0 . (row1 x row2) is nonzero,
+    and each image coordinate is a sum of _mul_intvec products."""
+    rows = [list(row) for row in matrix]
+    if len(rows) != 3 or any(len(row) != 3 for row in rows):
+        raise GeometryError("projective map wants a 3x3 matrix")
+    fld = config.field
+    entries = _coerce_triple(chain(*rows), fld)[1]
+    m = entries[0:3], entries[3:6], entries[6:9]
+    if _on_line(fld, m[0], _cross(fld, m[1], m[2])):
         raise GeometryError("projective map must be invertible (determinant is zero)")
-    new_points = tuple(
-        ProjectivePoint([a * x + b * y + c * z for a, b, c in m], config.field)
-        for x, y, z in (p.coords for p in config.points)
-    )
-    return Configuration(config.field, new_points, label=config.label)
+    mul = partial(_mul_intvec, fld)
+    return Configuration(fld, tuple(
+        ProjectivePoint._of_vectors(fld, [tuple(map(sum, zip(*map(mul, row, p.intvecs))))
+                                          for row in m])
+        for p in config.points), label=config.label)

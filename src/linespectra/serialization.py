@@ -2,10 +2,11 @@
 
 JSON is the lossless interchange format; every exact rational is carried as a
 "p/q" (or "p") string so nothing ever rounds.  A configuration's points are
-written from their canonical integer vectors (config_to_json) and, over Q,
-read back as int triples for ProjectivePoint (_rational_point): no field
-element is built either way.  CSV is a flat display-oriented view with
-decimal approximations, clearly labeled as such.
+written from their canonical integer vectors (config_to_json) and read back
+as integer vectors, over Q as int triples (_rational_point) and elsewhere as
+coefficient vectors over one lcm (_point): no field element is built either
+way.  CSV is a flat display-oriented view with decimal approximations,
+clearly labeled as such.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ import io
 import json
 import math
 from fractions import Fraction
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
-from .fields import FieldDescriptor, FieldElement, FieldError
+from .fields import FieldDescriptor, FieldError
 from .projective import Configuration, LineSpectrum, ProjectivePoint
+
+if TYPE_CHECKING:  # annotations only: loading serialization imports neither
+    from .inequalities import InequalityReport
+    from .search import SearchRecord
 
 
 class SerializationError(ValueError):
@@ -68,7 +73,7 @@ def _parse_coeff(data) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Fields and elements.
+# Fields.
 
 def field_to_json(field: FieldDescriptor) -> Dict:
     """The descriptor's fields that are set, in order: kind, then d or N."""
@@ -90,21 +95,6 @@ def _coeff_str(n: int, den: int) -> str:
     """str(Fraction(n, den)) for den > 0, from one gcd."""
     g = math.gcd(n, den)
     return str(n // g) if g == den else f"{n // g}/{den // g}"
-
-
-def element_from_json(field: FieldDescriptor, data) -> FieldElement:
-    if field.kind == "rational":
-        num, den = _parse_coeff(data)
-        return FieldElement(field, (num,), den)
-    if not isinstance(data, (list, tuple)):
-        raise SerializationError(
-            f"{field.kind} element must be a coefficient array, got {data!r}")
-    if len(data) != field.degree:
-        raise SerializationError(
-            f"{field} element needs {field.degree} coefficients, got {len(data)}")
-    pairs = [_parse_coeff(c) for c in data]
-    den = math.lcm(*[q for _, q in pairs])
-    return FieldElement(field, [p if q == den else p * (den // q) for p, q in pairs], den)
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +139,13 @@ def config_from_json(data) -> Configuration:
     raw_points = data["points"]
     if not isinstance(raw_points, list) or not raw_points:
         raise SerializationError("points must be a non-empty array")
+    read = _rational_point if field.kind == "rational" else _point
     points = []
     for idx, triple in enumerate(raw_points):
         if not isinstance(triple, list) or len(triple) != 3:
             raise SerializationError(
                 f"point {idx} must be an array of 3 coordinates")
-        if field.kind == "rational":
-            points.append(_rational_point(field, triple))
-        else:
-            points.append(ProjectivePoint([element_from_json(field, c) for c in triple], field))
+        points.append(read(field, triple))
     return Configuration(field, tuple(points), label)
 
 
@@ -169,6 +157,26 @@ def _rational_point(field: FieldDescriptor, triple) -> ProjectivePoint:
     (a, p), (b, q), (c, r) = map(_parse_coeff, triple)
     den = math.lcm(p, q, r)
     return ProjectivePoint((a * (den // p), b * (den // q), c * (den // r)), field)
+
+
+def _point(field: FieldDescriptor, triple) -> ProjectivePoint:
+    """The point of three coefficient arrays over an extension field: their
+    _parse_coeff pairs over one lcm, for ProjectivePoint._of_vectors.  Each
+    array is checked and parsed in turn, so the point and the first error
+    are those of ProjectivePoint of their field elements, with none built."""
+    deg = field.degree
+    pairs = []
+    for c in triple:
+        if not isinstance(c, (list, tuple)):
+            raise SerializationError(
+                f"{field.kind} element must be a coefficient array, got {c!r}")
+        if len(c) != deg:
+            raise SerializationError(f"{field} element needs {deg} coefficients, got {len(c)}")
+        pairs += map(_parse_coeff, c)
+    den = math.lcm(*[q for _, q in pairs])
+    nums = [p if q == den else p * (den // q) for p, q in pairs]
+    return ProjectivePoint._of_vectors(
+        field, (tuple(nums[:deg]), tuple(nums[deg:-deg]), tuple(nums[-deg:])))
 
 
 def dumps(obj) -> str:

@@ -2,6 +2,10 @@
 sources."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
+import typing
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -168,3 +172,46 @@ def test_every_private_definition_is_referenced_in_the_package():
     package = Path(linespectra.__file__).parent
     sources = {path.name: path.read_text() for path in package.glob("*.py")}
     assert _unreferenced_private_definitions(sources) == []
+
+
+def _type_checking_names(module):
+    # the names bound by the module's `if TYPE_CHECKING:` imports, imported
+    # as a type checker reads them
+    tree = ast.parse(Path(module.__file__).read_text())
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            code = compile(ast.Module(node.body, type_ignores=[]), module.__file__, "exec")
+            exec(code, {"__name__": module.__name__, "__package__": "linespectra"}, names)
+    return names
+
+
+def _annotated(module):
+    # every function, class and method that the module defines
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield obj
+            for member in vars(obj).values():
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(member):
+                    yield member
+
+
+def test_every_annotation_in_the_package_resolves():
+    # __main__ is left out: importing it runs the command line
+    modules = [linespectra] + [importlib.import_module(f"linespectra.{info.name}")
+                               for info in pkgutil.iter_modules(linespectra.__path__)
+                               if info.name != "__main__"]
+    assert len(modules) == 9
+    checked = []
+    for module in modules:
+        namespace = {**vars(module), **_type_checking_names(module)}
+        for obj in _annotated(module):
+            typing.get_type_hints(obj, globalns=namespace)
+            checked.append(obj.__qualname__)
+    assert {"report_to_json", "reports_to_csv", "record_to_json",
+            "FieldElement.__init__", "InequalityReport"} <= set(checked)

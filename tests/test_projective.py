@@ -42,7 +42,6 @@ from linespectra.projective import (
     apply_projective_map,
     collinear,
     line_through,
-    matrix_determinant,
     oracle_spanned_lines,
     spanned_lines,
     spectrum,
@@ -55,6 +54,17 @@ Q2 = quadratic_field(2)
 Qm3 = quadratic_field(-3)
 Z2 = cyclotomic_field(2)
 Z5 = cyclotomic_field(5)
+
+
+def matrix_determinant(m):
+    # the 3x3 determinant by cofactors in FieldElement arithmetic: the
+    # independent reference for collinear and apply_projective_map, which
+    # compute it as row0 . (row1 x row2) on integer vectors
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
 
 
 def pt(*coords):
@@ -1027,6 +1037,46 @@ def test_projective_map_rejects_bad_shape():
 def test_matrix_determinant_values():
     assert matrix_determinant([[2, 0, 0], [0, 3, 0], [0, 0, 1]]) == 6
     assert matrix_determinant([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+
+
+_small = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.sampled_from([1, 1, 2, 3]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(fld=st.sampled_from([Q2, Qm3, Z5, cyclotomic_field(12)]),
+       entries=st.lists(_small, min_size=9, max_size=9),
+       dependent=st.booleans(),
+       weights=st.tuples(_small, _small))
+def test_projective_map_refuses_exactly_the_singular_matrices(fld, entries, dependent, weights):
+    # entry (a + b g) / c, with g outside Q, or the Fraction a / c when
+    # b = 0; a dependent third row is a combination of the first two, so
+    # singular matrices with non-rational entries are drawn as often as
+    # invertible ones
+    g = _gen(fld)
+
+    def element(a, b, c):
+        return (g * b + a) / c if b else Fraction(a, c)
+
+    matrix = [[element(*e) for e in entries[3 * r:3 * r + 3]] for r in range(3)]
+    if dependent:
+        u, v = (element(*w) for w in weights)
+        matrix[2] = [u * x + v * y for x, y in zip(*matrix[:2])]
+    config = _embed(fld, grid(2, 3))
+    if matrix_determinant(matrix) == 0:
+        with pytest.raises(GeometryError, match="invertible"):
+            apply_projective_map(config, matrix)
+    else:
+        mapped = apply_projective_map(config, matrix)
+        assert mapped.n == config.n and spectrum(mapped) == spectrum(config)
+
+
+@pytest.mark.parametrize("fld", [Q, Q2, Z5], ids=str)
+@pytest.mark.parametrize("bad", [0.5, 2.0])
+def test_projective_map_refuses_float_entries(fld, bad):
+    # a float is refused by name, also when its value is an integer
+    config = _embed(fld, grid(2, 2))
+    with pytest.raises(ValueError, match=f"float {bad}"):
+        apply_projective_map(config, [[1, 0, 0], [0, bad, 0], [0, 0, 1]])
 
 
 # --- configuration validation ---

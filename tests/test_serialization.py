@@ -11,17 +11,22 @@ from hypothesis import strategies as st
 
 from linespectra.cli import main
 from linespectra import fields, projective
-from linespectra.constructions import boroczky, fermat, grid, random_config
+from linespectra.constructions import boroczky, fermat, grid, random_config, sylvester_cubic
 from linespectra.fields import cyclotomic_field, quadratic_field, rational_field
 from linespectra.inequalities import all_reports
-from linespectra.projective import Configuration, GeometryError, ProjectivePoint, spectrum
+from linespectra.projective import (
+    Configuration,
+    GeometryError,
+    ProjectivePoint,
+    apply_projective_map,
+    spectrum,
+)
 from linespectra.search import local_search
 from linespectra.serialization import (
     SerializationError,
     config_from_json,
     config_to_json,
     dumps,
-    element_from_json,
     field_from_json,
     field_to_json,
     frac_str,
@@ -58,12 +63,44 @@ def _outcome(fn, *args):
         return "error", str(exc)
 
 
-def _fraction_element(field, data):
-    """element_from_json as it was before integer parsing: one Fraction per
-    coefficient from parse_frac, and another in FieldDescriptor.element."""
-    if field.kind == "rational":
-        return field.element([parse_frac(data)])
-    return field.element([parse_frac(c) for c in data])
+def _fraction_config(data):
+    """config_from_json as it was before integer parsing: over Q one
+    Fraction per coordinate from parse_frac; elsewhere each coordinate
+    checked in turn, one Fraction per coefficient from parse_frac, another
+    in FieldDescriptor.element, and ProjectivePoint of the field elements."""
+    field = field_from_json(data["field"])
+    points = []
+    for triple in data["points"]:
+        if field.kind == "rational":
+            points.append(ProjectivePoint([parse_frac(c) for c in triple]))
+            continue
+        coords = []
+        for c in triple:
+            if not isinstance(c, (list, tuple)):
+                raise SerializationError(
+                    f"{field.kind} element must be a coefficient array, got {c!r}")
+            if len(c) != field.degree:
+                raise SerializationError(
+                    f"{field} element needs {field.degree} coefficients, got {len(c)}")
+            coords.append(field.element([parse_frac(x) for x in c]))
+        points.append(ProjectivePoint(coords, field))
+    return Configuration(field, tuple(points))
+
+
+def _literal_points(literal, pivot=False):
+    # one configuration per field holding `literal` in one coordinate: over
+    # Q beside 1/2 and 1; elsewhere as the second coefficient of a
+    # coordinate beside 1/3, after (pivot) or before a coordinate 1
+    yield {"field": {"kind": "rational"}, "points": [[literal, "1/2", 1]]}
+    for field in (quadratic_field(2), cyclotomic_field(5)):
+        one, zero = ["1"] + ["0"] * (field.degree - 1), ["0"] * field.degree
+        element = ["1/3", literal] + ["0"] * (field.degree - 2)
+        triple = [element, one, zero] if pivot else [one, element, zero]
+        yield {"field": field_to_json(field), "points": [triple]}
+
+
+def _assert_loads_as_the_fraction_route(data):
+    assert _outcome(config_from_json, data) == _outcome(_fraction_config, data), data
 
 
 LITERALS = [
@@ -79,16 +116,36 @@ LITERALS = [
 @pytest.mark.parametrize("literal", LITERALS)
 def test_coefficient_parsing_matches_fractions(literal):
     # the int() fast path must accept, reject and report exactly as the
-    # Fraction route it replaces, outcome for outcome
-    for field in (rational_field(), quadratic_field(2), cyclotomic_field(5)):
-        data = literal if field.degree == 1 else ["1/3", literal] + ["0"] * (field.degree - 2)
-        assert _outcome(element_from_json, field, data) == _outcome(
-            _fraction_element, field, data)
-    point = {"field": {"kind": "rational"}, "points": [[literal, "1/2", 1]]}
-    got = _outcome(config_from_json, point)
-    want = _outcome(lambda: Configuration(rational_field(), (ProjectivePoint(
-        [parse_frac(literal), Fraction(1, 2), 1]),)))
-    assert got == want
+    # Fraction route it replaces, outcome for outcome, over Q, Q(sqrt 2) and
+    # Q(zeta_5), in the pivot coordinate and beside it
+    for pivot in (False, True):
+        for data in _literal_points(literal, pivot):
+            _assert_loads_as_the_fraction_route(data)
+
+
+def _misplaced_coordinates(degree):
+    # triples over a field of this degree with a non-array coordinate, a
+    # wrong coefficient count or a bad literal, alone and before or after
+    # one another: the first error in coordinate order is the one reported
+    one, zero = ["1"] + ["0"] * (degree - 1), ["0"] * degree
+    bad = ["1"] + ["x"] * (degree - 1)
+    return {
+        "non-array": [one, "1/2", zero],
+        "non-array-before-bad-literal": [7, bad, zero],
+        "bad-literal-before-non-array": [bad, None, zero],
+        "short-before-bad-literal": [one[:-1], bad, zero],
+        "bad-literal-before-long": [bad, one + ["0"], zero],
+        "long-before-non-array": [one + ["0"], {"re": 1}, zero],
+        "bad-literal-last": [one, zero, ["1/0"] * degree],
+        "valid": [zero, one, ["-2/4"] * degree],
+    }
+
+
+@pytest.mark.parametrize("field", [quadratic_field(2), cyclotomic_field(5)], ids=str)
+@pytest.mark.parametrize("case", sorted(_misplaced_coordinates(2)))
+def test_extension_load_errors_are_the_fraction_routes_in_order(field, case):
+    triple = _misplaced_coordinates(field.degree)[case]
+    _assert_loads_as_the_fraction_route({"field": field_to_json(field), "points": [triple]})
 
 
 # digits, signs, separators, ASCII and Unicode spaces, a Unicode decimal
@@ -100,10 +157,9 @@ _PIECES = ["".join(t) for k in range(3) for t in itertools.product(_TOKENS, repe
 def test_coefficient_parsing_matches_fractions_on_every_short_text():
     # the outcomes of test_coefficient_parsing_matches_fractions on every
     # string of at most two tokens, and every two such strings around "/"
-    Q = rational_field()
     for literal in _PIECES + [f"{a}/{b}" for a in _PIECES for b in _PIECES]:
-        got = _outcome(element_from_json, Q, literal)
-        assert got == _outcome(_fraction_element, Q, literal), literal
+        for data in _literal_points(literal):
+            _assert_loads_as_the_fraction_route(data)
 
 
 def test_field_round_trips():
@@ -142,34 +198,32 @@ def test_field_from_json_rejects_inexact_parameters(data):
         field_from_json(data)
 
 
-def _written_element(e):
-    # the JSON of e as config_to_json writes it: the middle coordinate of
-    # the point (1 : e : 0), whose pivot is 1
+def _loaded_element(e):
+    # e as the middle coordinate of the point (1 : e : 0), whose pivot is 1,
+    # written by config_to_json and read back by config_from_json
     field = e.field
     config = Configuration(field, (ProjectivePoint((field.one(), e, field.zero()), field),))
-    return config_to_json(config)["points"][0][1]
+    return config_from_json(config_to_json(config)).points[0].coords[1]
 
 
 def test_element_round_trips():
     Q = rational_field()
     e = Q.from_rational(Fraction(-5, 3))
-    assert element_from_json(Q, _written_element(e)) == e
+    assert _loaded_element(e) == e
     F = quadratic_field(5)
     e = F.element([Fraction(1, 2), Fraction(-2, 7)])
-    assert element_from_json(F, _written_element(e)) == e
-    from linespectra.fields import cyclotomic_field
-
+    assert _loaded_element(e) == e
     Z = cyclotomic_field(5)
     e = (Z.zeta() + Z.one()) ** 3
-    assert element_from_json(Z, _written_element(e)) == e
+    assert _loaded_element(e) == e
 
 
-def test_element_from_json_checks_degree():
+def test_config_from_json_checks_coefficient_arrays():
     F = quadratic_field(2)
-    with pytest.raises(SerializationError):
-        element_from_json(F, ["1", "2", "3"])
-    with pytest.raises(SerializationError):
-        element_from_json(F, "1/2")
+    for coordinate in (["1", "2", "3"], "1/2"):
+        data = {"field": field_to_json(F), "points": [[["1", "0"], coordinate, ["0", "0"]]]}
+        with pytest.raises(SerializationError):
+            config_from_json(data)
 
 
 def test_config_round_trips_across_field_kinds():
@@ -189,13 +243,36 @@ def test_config_round_trips_across_field_kinds():
         assert rebuilt.label == config.label
 
 
-# sha256 of the inputs the benchmark writes and checks at its full size
+_Q2 = quadratic_field(2)
+_SQRT2_MAP = [[_Q2.sqrt_gen(), 1, 0], [0, _Q2.sqrt_gen(), 1], [1, 0, _Q2.sqrt_gen() + 2]]
+
+
+def _sqrt2_image():
+    """random_config(200, 3) read in Q(sqrt 2) from its int triples and moved
+    by a fixed invertible matrix with sqrt 2 entries, built in advance."""
+    embedded = Configuration(_Q2, [tuple(x for (x,) in p.intvecs)
+                                   for p in random_config(200, 3).points])
+    return apply_projective_map(embedded, _SQRT2_MAP)
+
+
+# sha256 of the inputs the benchmark writes and checks at its full size, or
+# (the Q(sqrt 2) image) of one like them
 PINNED_SAVED = {
     "random(3000, 5)": (lambda: random_config(3000, 5),
                         "f9ab41764ee3afef327c10398fe6dd1b2bc801b565dc28b64b81a5474e1eba14"),
     "grid(20, 20)": (lambda: grid(20, 20),
                      "3395cef6879b5f9784ea61e5b33f824c5f744e6f0ccad0adfbd04682752efa8d"),
+    "boroczky(30)": (lambda: boroczky(30),
+                     "104f8643dd5afd785e453e25dc49a14a87bf09ad3cbf351b6d772d1f99c372d3"),
+    "sylvester_cubic(20)": (lambda: sylvester_cubic(20),
+                            "0ef4c3684182c5a3e6f9e07eefd049cccbe3f4a7df8a273e52eaa3b16cec637e"),
+    "fermat(16)": (lambda: fermat(16),
+                   "56e06cbe1ca8f46cd2280024a369ad3426203f4fbaa0e8b47337cd530421ccfb"),
+    "sqrt2-image(200, 3)": (_sqrt2_image,
+                            "2c2b85c906262772ed83d09cdb1f08215ce7a1f868c75809232d238f507fb046"),
 }
+RATIONAL_SAVED = ["grid(20, 20)", "random(3000, 5)"]
+EXTENSION_SAVED = sorted(set(PINNED_SAVED) - set(RATIONAL_SAVED))
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SAVED))
@@ -206,23 +283,40 @@ def test_saved_bytes_of_benchmark_size_are_pinned(tmp_path, name):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_SAVED))
+def _count_calls(monkeypatch, owner, key, calls):
+    # record `key` in calls on every call of owner.key
+    fn = getattr(owner, key)
+
+    def wrapper(*args, **kwargs):
+        calls.append(key)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, key, wrapper)
+
+
+@pytest.mark.parametrize("name", RATIONAL_SAVED)
 def test_integer_configurations_are_built_and_written_from_integers(tmp_path, monkeypatch, name):
     # no field element, no _coerce_triple and no _canonical from the
     # generator to the saved file
     calls = []
-
-    def counting(fn, key):
-        def wrapper(*args, **kwargs):
-            calls.append(key)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(fields.FieldElement, "__init__",
-                        counting(fields.FieldElement.__init__, "FieldElement"))
+    _count_calls(monkeypatch, fields.FieldElement, "__init__", calls)
     for key in ("_coerce_triple", "_canonical"):
-        monkeypatch.setattr(projective, key, counting(getattr(projective, key), key))
+        _count_calls(monkeypatch, projective, key, calls)
     save_configuration(PINNED_SAVED[name][0](), str(tmp_path / "config.json"))
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", EXTENSION_SAVED)
+def test_extension_configurations_are_built_moved_and_loaded_without_field_elements(
+        tmp_path, monkeypatch, name):
+    # the generators, apply_projective_map, the writer and the loader run
+    # on integer vectors: no FieldElement is built from the call to the
+    # loaded configuration
+    calls = []
+    _count_calls(monkeypatch, fields.FieldElement, "__init__", calls)
+    config = PINNED_SAVED[name][0]()
+    path = tmp_path / "config.json"
+    save_configuration(config, str(path))
+    assert load_configuration(str(path)) == config
     assert calls == []
 
 
