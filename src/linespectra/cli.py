@@ -9,10 +9,9 @@ informational checks never affect the exit code.
 
 The --threads flag caps the processes analyze and check count a large
 configuration's lines in (projective.spectrum's forked stripes).  It must be
-at least 1 and defaults to 2, the only count measured, and no more
-processes are used than the CPUs this one may run on; every other command
-ignores it.  It never changes an output byte, so it is
-excluded from the echoed argument map.
+at least 1 and defaults to 2, and no more processes are used than the CPUs
+this one may run on; every other command ignores it.  It never changes an
+output byte, so it is excluded from the echoed argument map.
 
 entry(), the console script and `python -m linespectra`, flushes stdout
 and stderr after main returns and leaves through os._exit, skipping the

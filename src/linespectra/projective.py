@@ -185,8 +185,8 @@ class _HomogeneousTriple:
     def _of_canonical(cls, field: FieldDescriptor, vecs):
         """The triple whose canonical form is vecs (not rechecked)."""
         self = object.__new__(cls)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "intvecs", vecs)
+        _set_field(self, field)
+        _set_intvecs(self, vecs)
         return self
 
     def __setattr__(self, *a):
@@ -217,6 +217,11 @@ class _HomogeneousTriple:
     def __repr__(self):
         inner = " : ".join(repr(c) for c in self.coords)
         return f"{type(self).__name__}({inner})"
+
+
+# the slots' own setters, which __setattr__ does not reach
+_set_field = _HomogeneousTriple.field.__set__
+_set_intvecs = _HomogeneousTriple.intvecs.__set__
 
 
 class ProjectivePoint(_HomogeneousTriple):
@@ -451,11 +456,11 @@ def _keyed_items(config: Configuration):
     product) and the row screen for _screened_rows.  Over Q the vectors
     are flattened to scalar triples, keyed exactly by _primitive_cross
     (_canonical in degree 1 written out on ints) and screened by slope
-    (_slope_screen): on random_config(1200) exact grouping takes 1.3 s on
-    scalar triples against 10.4 s on triples of 1-tuples (Python 3.11, one
-    core of a 2-vCPU Xeon VM).  Elsewhere rows are screened mod p
-    (_image_screen).  _screened_rows keys rows by the screen and falls
-    back to the exact key; spanned_lines also keys each line by it."""
+    (_slope_screen), since exact grouping runs several times faster on
+    scalar triples than on triples of 1-tuples.  Elsewhere rows are
+    screened mod p (_image_screen).  _screened_rows keys rows by the
+    screen and falls back to the exact key; spanned_lines also keys each
+    line by it."""
     fld = config.field
     if fld.kind == RATIONAL:
         items = [tuple(v[0] for v in p.intvecs) for p in config.points]
@@ -638,21 +643,8 @@ def _spectrum_of(n: int, ell: dict, degrees) -> LineSpectrum:
     )
 
 
-def spectrum_from_lines(n: int, lines) -> LineSpectrum:
-    ell: Dict[int, int] = {}
-    degrees = [0] * n
-    for members in lines.values():
-        k = len(members)
-        ell[k] = ell.get(k, 0) + 1
-        for idx in members:
-            degrees[idx] += 1
-    return _spectrum_of(n, ell, degrees)
-
-
 # Below this many points spectrum tallies every row in the caller, whatever
-# its worker count.  In fresh CLI children on a 2-vCPU VM, two stripes were
-# behind one process on random_config(1000) and (1500), at parity on (2000)
-# and ahead from (2100) on.
+# its worker count: on smaller inputs forking costs more than it saves.
 _FORK_FLOOR = 2100
 
 

@@ -29,6 +29,7 @@ from .projective import (
     _slope_screen,
     _tally_rows,
 )
+from .serialization import dumps
 
 OBJECTIVES = ("incidences", "lines")
 
@@ -207,7 +208,7 @@ def _save_checkpoint(path: Path, fingerprint: Dict, completed: int,
         },
         "history": [[it, str(obj)] for it, obj in history],
     }
-    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    path.write_text(dumps(data), encoding="utf-8")
 
 
 def _random_feasible(rng: random.Random, n: int, bound: int, cap: int, objective: str):

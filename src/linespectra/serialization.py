@@ -183,9 +183,28 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _points_text(config: Configuration) -> str:
+    """The items of the "points" array as dumps writes them in a
+    configuration object, from the literals of config_to_json and fixed
+    separators: each bracket and literal on its own line, indented two
+    spaces per level of nesting.  Each literal comes from _coeff_str, digits
+    with an optional sign and "/", so none needs escaping."""
+    if config.field.kind == "rational":
+        inner = ['",\n      "'.join(_rational_point_json(p.intvecs)) for p in config.points]
+        return '    [\n      "' + '"\n    ],\n    [\n      "'.join(inner) + '"\n    ]'
+    coeff, coord = '",\n        "', '"\n      ],\n      [\n        "'
+    inner = [coord.join([coeff.join(v) for v in _point_json(p.intvecs)]) for p in config.points]
+    return ('    [\n      [\n        "' + '"\n      ]\n    ],\n    [\n      [\n        "'.join(inner)
+            + '"\n      ]\n    ]')
+
+
 def save_configuration(config: Configuration, path: str) -> None:
+    """Write dumps(config_to_json(config)): the field and label through
+    dumps, which escapes the label, then in place of its closing brace the
+    points from _points_text."""
+    head = dumps({"field": field_to_json(config.field), "label": config.label})
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(config_to_json(config)))
+        fh.write(f'{head[:-3]},\n  "points": [\n{_points_text(config)}\n  ]\n}}\n')
 
 
 def load_configuration(path: str) -> Configuration:

@@ -26,6 +26,7 @@ from linespectra.projective import (
     DuplicatePointError,
     LineSpectrum,
     ProjectivePoint,
+    line_through,
 )
 from linespectra.search import SearchRecord
 
@@ -97,6 +98,18 @@ def test_records_are_immutable():
                       (_report(), "slack"), (record, "seed"), (config, "extra")]:
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
+
+
+def test_points_and_line_keys_refuse_setattr():
+    p, q = ProjectivePoint((1, 2, 1)), ProjectivePoint((0, 1, 3))
+    key = line_through(p, q)
+    for obj in (p, key):
+        before = (obj.field, obj.intvecs)
+        for name, value in [("field", quadratic_field(2)), ("intvecs", ((1,), (0,), (0,))),
+                            ("extra", None)]:
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(obj, name, value)
+        assert (obj.field, obj.intvecs) == before
 
 
 def test_equal_fields_are_equal_and_hash_alike():
@@ -172,6 +185,31 @@ def test_every_private_definition_is_referenced_in_the_package():
     package = Path(linespectra.__file__).parent
     sources = {path.name: path.read_text() for path in package.glob("*.py")}
     assert _unreferenced_private_definitions(sources) == []
+
+
+def _json_writes(source):
+    # (line, call) of each json.dump or json.dumps the module calls or imports
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                and getattr(node.value, "id", None) == "json"):
+            found.append((node.lineno, f"json.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [(node.lineno, f"json.{a.name}") for a in node.names
+                      if a.name in ("dump", "dumps")]
+    return sorted(found)
+
+
+def test_only_serialization_writes_json():
+    # every JSON document the package writes goes through serialization
+    sample = ("import json\nfrom json import dumps as d, loads\n"
+              "json.loads('1')\nf = json.dump\njson.dumps({})\n")
+    assert _json_writes(sample) == [(2, "json.dumps"), (4, "json.dump"), (5, "json.dumps")]
+    package = Path(linespectra.__file__).parent
+    found = {path.name: _json_writes(path.read_text()) for path in package.glob("*.py")
+             if path.name != "serialization.py"}
+    assert len(found) == 9
+    assert {name: calls for name, calls in found.items() if calls} == {}
 
 
 def _type_checking_names(module):

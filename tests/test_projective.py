@@ -1,10 +1,12 @@
 """Exact projective primitives and the line spectrum machinery."""
 
 import itertools
+import json
 import math
 import operator
 import os
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -45,9 +47,8 @@ from linespectra.projective import (
     oracle_spanned_lines,
     spanned_lines,
     spectrum,
-    spectrum_from_lines,
 )
-from linespectra.serialization import config_from_json, config_to_json
+from linespectra.serialization import config_from_json, config_to_json, save_configuration
 
 Q = rational_field()
 Q2 = quadratic_field(2)
@@ -65,6 +66,18 @@ def matrix_determinant(m):
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
+
+
+def spectrum_from_lines(n, lines):
+    # the spectrum of n points from their spanned lines, {key: members}
+    ell = {}
+    degrees = [0] * n
+    for members in lines.values():
+        k = len(members)
+        ell[k] = ell.get(k, 0) + 1
+        for idx in members:
+            degrees[idx] += 1
+    return projective._spectrum_of(n, ell, degrees)
 
 
 def pt(*coords):
@@ -486,6 +499,20 @@ def test_config_json_is_written_from_the_coefficients_of_coords(name):
     data = config_to_json(config)
     assert data["points"] == _coeffs_json(config)
     assert config_from_json(data) == config
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES) + sorted(WRITTEN_FAMILIES))
+def test_saved_file_is_the_indented_json_of_config_json(tmp_path, name):
+    # save_configuration writes the points without json.dumps, relying on
+    # every literal being a plain fraction that needs no escaping
+    config = (ORACLE_CASES.get(name) or WRITTEN_FAMILIES[name])()
+    data = config_to_json(config)
+    coords = data["points"] if config.field.kind == "rational" else itertools.chain(*data["points"])
+    for literal in itertools.chain(*coords):
+        assert re.fullmatch(r"-?\d+(/\d+)?", literal), literal
+    path = tmp_path / "config.json"
+    save_configuration(config, str(path))
+    assert path.read_bytes() == (json.dumps(data, indent=2) + "\n").encode()
 
 
 def test_rational_inputs_of_benchmark_size_never_fall_back_to_exact_keys(monkeypatch):

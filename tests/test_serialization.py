@@ -340,7 +340,22 @@ def test_save_and_load_round_trips_every_field_kind(tmp_path, field):
     config = Configuration(field, [(g, 1, 1), (0, g, 1), (1, 0, g)], label=str(field))
     path = tmp_path / "config.json"
     save_configuration(config, str(path))
+    assert path.read_text() == dumps(config_to_json(config))
     assert load_configuration(str(path)) == config
+
+
+@pytest.mark.parametrize("label", [
+    'say "hi"', "back\\slash", "two\nlines", "Böröczky ζ_12 ✓", "", '"points": [',
+    '"points": [\n    [\n      "1"', "\t\x00\u2028 end",
+])
+@pytest.mark.parametrize("field", [rational_field(), quadratic_field(-3), cyclotomic_field(5)],
+                         ids=str)
+def test_saved_label_is_escaped_as_json_dumps_escapes_it(tmp_path, field, label):
+    config = Configuration(field, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)], label=label)
+    path = tmp_path / "config.json"
+    save_configuration(config, str(path))
+    assert path.read_bytes() == dumps(config_to_json(config)).encode()
+    assert load_configuration(str(path)).label == label
 
 
 def test_dumps_is_indented_with_final_newline():
