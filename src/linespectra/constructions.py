@@ -2,11 +2,16 @@
 
 Each generator returns a Configuration over the smallest field of the
 supported kinds that represents its coordinates exactly, built from integer
-vectors: int triples over Q, and over Q(zeta_N) rows of the power table
-_powers(N) and their _mul_intvec products.  Where a family has a closed-form
-line spectrum, expected_spectrum returns it (with the small-m bucket merges
-applied), so generated output can be verified without running the spectrum
-computation.
+vectors: int triples over Q, and over Q(zeta_L) sums of power-table rows
+(_powers, _vector).  Where a family has a closed-form line spectrum,
+expected_spectrum returns it (with the small-m bucket merges applied), so
+generated output can be verified without running the spectrum computation.
+
+The Boroczky and cubic points are written in the chart of their first
+coordinate, which is rational there, so no point takes a norm.  Division is
+by x - 1, x = zeta^e of order M > 1: 1 + x + ... + x^(M-1) = 0 gives
+(x - 1) sum_{j<M} j x^j = (M - 1) x^M - (x + ... + x^(M-1)) = M,
+so M / (x - 1) = sum_{j<M} j x^j, a sum of rows (_over_x_minus_1).
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .fields import (
     FieldDescriptor,
-    _mul_intvec,
     _powers,
     cyclotomic_field,
     rational_field,
@@ -35,24 +39,30 @@ def _require(cond: bool, msg: str):
 
 
 # ---------------------------------------------------------------------------
-# Trigonometric helpers over Q(zeta_L): exact cos/sin of multiples of 2*pi/L.
+# Integer vectors over Q(zeta_L) as sums of power-table rows.
 
-def _trig_field(m: int) -> FieldDescriptor:
-    return cyclotomic_field(math.lcm(4, 2 * m))
+def _vector(L: int, terms) -> tuple:
+    """The integer vector of sum(c * zeta^k) over the pairs (k, c) in terms:
+    the c-weighted sum of the rows _powers(L)[k]."""
+    rows = _powers(L)
+    out = [0] * len(rows[0])
+    for k, c in terms:
+        for i, r in enumerate(rows[k % L]):
+            if r:
+                out[i] += c * r
+    return tuple(out)
 
 
-def _cos_sin(field: FieldDescriptor, numerator: int):
-    """Integer vectors (C, S) with (cos, sin) = (C, S) / 2 for the angle
-    2*pi*numerator/L in Q(zeta_L), 4 | L: with w = zeta_L^numerator,
-    C = w + w^-1 and S = (w - w^-1) / i.  zeta^k, zeta^(L-k) and
-    zeta^(3L/4) = 1/i are rows of the power table _powers(L), already
-    reduced modulo Phi_L."""
-    L = field.N
-    powers = _powers(L)
-    k = numerator % L
-    zk, zmk = powers[k], powers[-k % L]
-    diff = tuple(x - y for x, y in zip(zk, zmk))
-    return tuple(x + y for x, y in zip(zk, zmk)), _mul_intvec(field, diff, powers[3 * L // 4])
+def _over_x_minus_1(M: int, e: int, c: int, scale: int) -> list:
+    """Terms of scale * M * zeta^c / (x - 1) for x = zeta^e of order M > 1,
+    by the identity in the module docstring."""
+    return [(c + e * j, scale * j) for j in range(1, M)]
+
+
+def _points(field: FieldDescriptor, triples) -> tuple:
+    """The points whose coordinates are the _vector sums of the triples."""
+    return tuple(ProjectivePoint._of_vectors(field, tuple(_vector(field.N, t) for t in triple))
+                 for triple in triples)
 
 
 def fermat(m: int) -> Configuration:
@@ -74,18 +84,27 @@ def boroczky(m: int) -> Configuration:
     """2m real points: m on the unit circle at angles 2*pi*j/m and the m
     directions (-sin(pi*k/m) : cos(pi*k/m) : 0) on the line at infinity.
     The chord through circle points a and b meets infinity at k = a + b
-    (mod m); the tangent at a meets it at k = 2a (mod m).  For (C, S) from
-    _cos_sin, they are (C : S : 2) and (-S : C : 0)."""
+    (mod m); the tangent at a meets it at k = 2a (mod m).  In the chart of
+    the first coordinate, with w = zeta^a at the point's angle, i = zeta^(L/4)
+    and y = -w^2, a circle point (cos : sin : 1) is
+    (1 : -i - 2i/(y - 1) : -2w/(y - 1)), or (0 : +-1 : 1) when cos = 0, and
+    a direction is (1 : -i - 2i/(w^2 - 1) : 0), or (0 : 1 : 0) for k = 0;
+    each 1/(z - 1) is the closed form in the module docstring."""
     _require(m >= 3, f"boroczky wants m >= 3, got {m}")
-    field = _trig_field(m)
-    L = field.N
-    zero = (0,) * field.degree
-    two = (2,) + zero[1:]
-    pts = [ProjectivePoint._of_vectors(field, (c, s, two))
-           for c, s in (_cos_sin(field, j * (L // m)) for j in range(m))]
-    pts += [ProjectivePoint._of_vectors(field, (tuple(-x for x in s), c, zero))
-            for c, s in (_cos_sin(field, k * (L // (2 * m))) for k in range(m))]
-    return Configuration(field, tuple(pts), label=f"boroczky(m={m})")
+    field = cyclotomic_field(math.lcm(4, 2 * m))
+    L, q = field.N, field.N // 4  # i = zeta^q
+    triples = []
+    for a in range(0, L, L // m):
+        e = (2 * a + L // 2) % L  # y = zeta^e
+        M = L // math.gcd(e, L)
+        triples.append(([(0, M)], [(q, -M)] + _over_x_minus_1(M, e, q, -2),
+                        _over_x_minus_1(M, e, a, -2)) if e
+                       else ((), [(0, 1 if a == q else -1)], [(0, 1)]))
+    triples.append(((), [(0, 1)], ()))
+    for e in range(L // m, L, L // m):  # w^2 = zeta^e
+        M = L // math.gcd(e, L)
+        triples.append(([(0, M)], [(q, -M)] + _over_x_minus_1(M, e, q, -2), ()))
+    return Configuration(field, _points(field, triples), label=f"boroczky(m={m})")
 
 
 def sylvester_cubic(k: int) -> Configuration:
@@ -97,18 +116,19 @@ def sylvester_cubic(k: int) -> Configuration:
     are collinear).  This gives roughly n^2/6 spanned lines.  A cusp-model
     cubic cannot do that: its smooth points form the torsion-free group
     (R, +), which caps the three-point-line density well below n^2/6; hence
-    the acnodal model.  P_j = (4S : -4C : S^3) for (C, S) from _cos_sin."""
+    the acnodal model.  In the chart of the first coordinate, with
+    x = zeta^(2j) and i = zeta^(L/4), P_j = (4 : -4 cot : 4 s^2) for
+    cot = c/s = i + 2i/(x - 1) and 4 s^2 = 2 - x - 1/x, with 1/(x - 1) the
+    closed form in the module docstring."""
     _require(k >= 2, f"sylvester_cubic wants k >= 2, got {k}")
-    m = 2 * k
-    field = _trig_field(m)
-    L = field.N
-    pts = [ProjectivePoint((0, 1, 0), field)]
-    for j in range(1, m):
-        c, s = _cos_sin(field, j * (L // (2 * m)))
-        cube = _mul_intvec(field, _mul_intvec(field, s, s), s)
-        pts.append(ProjectivePoint._of_vectors(
-            field, (tuple(4 * x for x in s), tuple(-4 * x for x in c), cube)))
-    return Configuration(field, tuple(pts), label=f"sylvester_cubic(k={k})")
+    field = cyclotomic_field(4 * k)
+    L, q = field.N, k  # i = zeta^q
+    triples = [((), [(0, 1)], ())]
+    for e in range(2, L, 2):  # x = zeta^e
+        M = L // math.gcd(e, L)
+        triples.append(([(0, 4 * M)], [(q, -4 * M)] + _over_x_minus_1(M, e, q, -8),
+                        [(0, 2 * M), (e, -M), (-e, -M)]))
+    return Configuration(field, _points(field, triples), label=f"sylvester_cubic(k={k})")
 
 
 # Historical alias: the generator originally modeled a cuspidal cubic, whose

@@ -352,9 +352,9 @@ class FieldElement:
         if g > 1:
             nums = tuple(x // g for x in nums)
             den //= g
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
+        _set_field(self, field)
+        _set_nums(self, tuple(nums))
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldElement is immutable")
@@ -493,6 +493,12 @@ class FieldElement:
                 mono = sym if i == 1 else f"{sym}^{i}"
                 parts.append(mono if c == 1 else f"({c})*{mono}")
         return " + ".join(parts) if parts else "0"
+
+
+# the slots' own setters, which __setattr__ does not reach
+_set_field = FieldElement.field.__set__
+_set_nums = FieldElement.nums.__set__
+_set_den = FieldElement.den.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -225,11 +225,13 @@ _set_intvecs = _HomogeneousTriple.intvecs.__set__
 
 
 class ProjectivePoint(_HomogeneousTriple):
-    pass
+    __slots__ = ()
 
 
 class LineKey(_HomogeneousTriple):
     """Canonical dual triple (a : b : c) of the line ax + by + cz = 0."""
+
+    __slots__ = ()
 
 
 def collinear(p: ProjectivePoint, q: ProjectivePoint, r: ProjectivePoint) -> bool:

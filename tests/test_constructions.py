@@ -1,12 +1,15 @@
 """Generator families: closed-form spectra, incidence rules, validation."""
 
 import itertools
+import math
 
 import pytest
 
 from linespectra.constructions import (
     GENERATORS,
     ConstructionError,
+    _over_x_minus_1,
+    _vector,
     boroczky,
     cuspidal_cubic,
     expected_spectrum,
@@ -17,7 +20,8 @@ from linespectra.constructions import (
     sylvester_cubic,
     two_lines,
 )
-from linespectra.projective import collinear, spectrum
+from linespectra.fields import _mul_intvec, _powers, cyclotomic_field
+from linespectra.projective import Configuration, ProjectivePoint, collinear, spectrum
 
 CLOSED_FORM_CASES = (
     [("fermat", {"m": m}) for m in range(3, 9)]
@@ -209,3 +213,67 @@ def test_registry_covers_every_generator():
         "random",
     }
     assert all(callable(g) for g in GENERATORS.values())
+
+
+@pytest.mark.parametrize("L", [4, 12, 60, 80])
+def test_closed_form_inverse_of_a_root_of_unity_minus_one(L):
+    # (zeta^e - 1) * sum_{j<M} j zeta^(e j) = M for zeta^e of order M > 1
+    field = cyclotomic_field(L)
+    one = _powers(L)[0]
+    for e in range(1, L):
+        M = L // math.gcd(e, L)
+        x_minus_1 = tuple(a - b for a, b in zip(_powers(L)[e], one))
+        product = _mul_intvec(field, x_minus_1, _vector(L, _over_x_minus_1(M, e, 0, 1)))
+        assert product == (M,) + (0,) * (field.degree - 1)
+
+
+def _reference_cos_sin(field, numerator):
+    # (C, S) = (2 cos, 2 sin) of the angle 2*pi*numerator/L by products of
+    # power-table rows: C = w + 1/w and S = (w - 1/w) * zeta^(3L/4)
+    L = field.N
+    rows = _powers(L)
+    w, w_inv = rows[numerator % L], rows[-numerator % L]
+    diff = tuple(a - b for a, b in zip(w, w_inv))
+    return tuple(a + b for a, b in zip(w, w_inv)), _mul_intvec(field, diff, rows[3 * L // 4])
+
+
+def _reference_config(field, label, triples):
+    return Configuration(field, tuple(ProjectivePoint._of_vectors(field, t) for t in triples),
+                         label=label)
+
+
+def _reference_boroczky(m):
+    # the circle points (C : S : 2) and the directions (-S : C : 0)
+    field = cyclotomic_field(math.lcm(4, 2 * m))
+    L, zero = field.N, (0,) * field.degree
+    two = (2,) + zero[1:]
+    circle = [_reference_cos_sin(field, j * (L // m)) for j in range(m)]
+    directions = [_reference_cos_sin(field, k * (L // (2 * m))) for k in range(m)]
+    return _reference_config(field, f"boroczky(m={m})",
+                             [(c, s, two) for c, s in circle]
+                             + [(tuple(-x for x in s), c, zero) for c, s in directions])
+
+
+def _reference_sylvester_cubic(k):
+    # P_0 = (0 : 1 : 0) and P_j = (4S : -4C : S^3)
+    m = 2 * k
+    field = cyclotomic_field(math.lcm(4, 2 * m))
+    L, zero = field.N, (0,) * field.degree
+    triples = [(zero, (1,) + zero[1:], zero)]
+    for j in range(1, m):
+        c, s = _reference_cos_sin(field, j * (L // (2 * m)))
+        cube = _mul_intvec(field, _mul_intvec(field, s, s), s)
+        triples.append((tuple(4 * x for x in s), tuple(-4 * x for x in c), cube))
+    return _reference_config(field, f"sylvester_cubic(k={k})", triples)
+
+
+# m = 3..40 takes cos = 0 (4 | m) and rational cos (3 | m, 6 | m) at some
+# circle point; every cubic has a rational cos at j = m/2
+@pytest.mark.parametrize("m", range(3, 41))
+def test_boroczky_matches_the_cos_sin_construction(m):
+    assert boroczky(m) == _reference_boroczky(m)
+
+
+@pytest.mark.parametrize("k", range(2, 31))
+def test_sylvester_cubic_matches_the_cos_sin_construction(k):
+    assert sylvester_cubic(k) == _reference_sylvester_cubic(k)

@@ -104,12 +104,26 @@ def test_points_and_line_keys_refuse_setattr():
     p, q = ProjectivePoint((1, 2, 1)), ProjectivePoint((0, 1, 3))
     key = line_through(p, q)
     for obj in (p, key):
+        assert not hasattr(obj, "__dict__") and not hasattr(obj, "__weakref__")
         before = (obj.field, obj.intvecs)
         for name, value in [("field", quadratic_field(2)), ("intvecs", ((1,), (0,), (0,))),
                             ("extra", None)]:
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(obj, name, value)
         assert (obj.field, obj.intvecs) == before
+
+
+def test_field_elements_refuse_setattr():
+    g = cyclotomic_field(12).element([Fraction(1, 2), 3, 0, -1])
+    # __init__ still reduces to lowest terms through the slots' setters
+    assert (g.nums, g.den) == ((1, 6, 0, -2), 2)
+    assert not hasattr(g, "__dict__")
+    before = (g.field, g.nums, g.den)
+    for name, value in [("field", rational_field()), ("nums", (1,)), ("den", 3),
+                        ("extra", None)]:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(g, name, value)
+    assert (g.field, g.nums, g.den) == before
 
 
 def test_equal_fields_are_equal_and_hash_alike():

@@ -320,6 +320,17 @@ def test_extension_configurations_are_built_moved_and_loaded_without_field_eleme
     assert calls == []
 
 
+@pytest.mark.parametrize("name", ["boroczky(30)", "sylvester_cubic(20)"])
+def test_cyclotomic_families_are_built_without_a_norm(monkeypatch, name):
+    # each point is built in the chart of its first coordinate, which is
+    # rational, so its canonical form multiplies by no adjugate
+    calls = []
+    for owner in (fields, projective):
+        _count_calls(monkeypatch, owner, "_adjugate", calls)
+    PINNED_SAVED[name][0]()
+    assert calls == []
+
+
 def test_save_and_load_configuration(tmp_path):
     path = tmp_path / "config.json"
     config = boroczky(4)
