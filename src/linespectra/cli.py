@@ -7,10 +7,11 @@ and 3 when an internal invariant of the line counting breaks, which is a bug
 in this package and never a fault of the input.  Conjectures and
 informational checks never affect the exit code.
 
-The --threads flag caps the processes analyze and check count a large
-configuration's lines in (projective.spectrum's forked stripes).  It must be
-at least 1 and defaults to 2, and no more processes are used than the CPUs
-this one may run on; every other command ignores it.  It never changes an
+Each command, search mode and generator family takes exactly the options
+its handler reads.  --threads, an option of analyze and check only, caps the
+processes they count a large configuration's lines in (projective.spectrum's
+forked stripes).  It must be at least 1 and defaults to 2, and no more
+processes are used than the CPUs this one may run on.  It never changes an
 output byte, so it is excluded from the echoed argument map.
 
 entry(), the console script and `python -m linespectra`, flushes stdout
@@ -65,13 +66,21 @@ def _workers(threads: int) -> int:
     return min(threads, os.cpu_count() or 1)
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _threads(text: str) -> int:
+    """The type of --threads: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
+def _add_counting(sp: argparse.ArgumentParser) -> None:
+    """The input and options of analyze and check."""
+    sp.add_argument("input")
     sp.add_argument("--format", choices=("json", "csv"), default="json",
                     help="output format (json is lossless, csv approximate)")
     sp.add_argument("--out", help="write the output document here instead of stdout")
-    sp.add_argument("--seed", type=int, default=0, help="random seed")
-    sp.add_argument("--threads", type=int, default=2,
-                    help="most processes analyze and check count lines in "
+    sp.add_argument("--threads", type=_threads, default=2,
+                    help="most processes to count lines in "
                          "(>= 1, at most the usable CPUs; default: 2)")
 
 
@@ -82,54 +91,59 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     parser = _Parser(prog="linespectra",
                      description="Exact spanned-line spectra of planar "
                                  "point configurations.")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
     gen = sub.add_parser("generate", help="write a named configuration as JSON")
     if command in (None, "generate"):
         import inspect
 
         from .constructions import GENERATORS
-        gen.add_argument("name", choices=sorted(name.replace("_", "-") for name in GENERATORS))
-        params = {p for family in GENERATORS.values()
-                  for p in inspect.signature(family).parameters}
-        for pname in sorted(params - {"seed"}):
-            gen.add_argument(f"--{pname}", type=int)
-        _add_common(gen)
-    gen.set_defaults(handler=_cmd_generate)
+        families = gen.add_subparsers(dest="family", required=True)
+        for pyname in sorted(GENERATORS):
+            fam = families.add_parser(pyname.replace("_", "-"))
+            params = inspect.signature(GENERATORS[pyname]).parameters.values()
+            for p in params:
+                if p.name == "seed":
+                    fam.add_argument("--seed", type=int, default=0, help="random seed")
+                else:
+                    fam.add_argument(f"--{p.name}", type=int, required=p.default is p.empty)
+            fam.add_argument("--out", required=True, help="the configuration file to write")
+            fam.set_defaults(handler=_cmd_generate, params=[p.name for p in params])
 
     ana = sub.add_parser("analyze", help="compute the line spectrum of a configuration file")
-    ana.add_argument("input")
-    _add_common(ana)
+    _add_counting(ana)
     ana.set_defaults(handler=_cmd_analyze)
 
     chk = sub.add_parser("check", help="evaluate identities and inequalities")
-    chk.add_argument("input")
+    _add_counting(chk)
     chk.add_argument("which", nargs="?", default="all",
                      help="check name or name prefix (default: all)")
-    chk.add_argument("--all", action="store_true", help="run every check")
-    _add_common(chk)
     chk.set_defaults(handler=_cmd_check)
 
     sea = sub.add_parser("search", help="look for configurations with few incidences")
     if command in (None, "search"):
         from .search import OBJECTIVES
-        sea.add_argument("mode", choices=("exhaustive", "local"))
-        sea.add_argument("--n", type=int, required=True)
-        sea.add_argument("--g", type=int, help="grid side (exhaustive)")
-        sea.add_argument("--cap", type=int, help="maximum collinearity allowed")
-        sea.add_argument("--bound", type=int, help="coordinate bound (local)")
-        sea.add_argument("--iterations", type=int, default=2000)
-        sea.add_argument("--restarts", type=int, default=4)
-        sea.add_argument("--objective", choices=OBJECTIVES, default="incidences")
-        sea.add_argument("--no-prune", action="store_true",
-                         help="disable symmetry pruning (exhaustive)")
-        sea.add_argument("--checkpoint", help="checkpoint file for resumable local search")
-        _add_common(sea)
-    sea.set_defaults(handler=_cmd_search)
+        modes = sea.add_subparsers(dest="mode", required=True)
+        exh = modes.add_parser("exhaustive", help="every n-subset of a g x g grid")
+        loc = modes.add_parser("local", help="seeded hill climbing with restarts")
+        for sp in (exh, loc):
+            sp.add_argument("--n", type=int, required=True)
+            sp.add_argument("--cap", type=int, required=True,
+                            help="maximum collinearity allowed")
+            sp.add_argument("--objective", choices=OBJECTIVES, default="incidences")
+            sp.add_argument("--out", help="write the output document here instead of stdout")
+            sp.set_defaults(handler=_cmd_search)
+        exh.add_argument("--g", type=int, required=True, help="grid side")
+        exh.add_argument("--no-prune", action="store_true", help="disable symmetry pruning")
+        loc.add_argument("--bound", type=int, help="coordinate bound")
+        loc.add_argument("--iterations", type=int, default=2000)
+        loc.add_argument("--restarts", type=int, default=4)
+        loc.add_argument("--seed", type=int, default=0, help="random seed")
+        loc.add_argument("--checkpoint", help="checkpoint file for resumable local search")
 
     ren = sub.add_parser("render", help="draw a real configuration as SVG")
     ren.add_argument("input")
-    _add_common(ren)
+    ren.add_argument("--out", required=True, help="the SVG file to write")
     ren.set_defaults(handler=_cmd_render)
     return parser
 
@@ -149,19 +163,9 @@ def _manifest(command: str, arguments: Dict, result) -> str:
 # Handlers.
 
 def _cmd_generate(args) -> int:
-    import inspect
-
     from .constructions import GENERATORS, expected_spectrum
-    if not args.out:
-        raise CliError("generate requires --out for the configuration file")
-    pyname = args.name.replace("-", "_")
-    params: Dict[str, int] = {}
-    for p in inspect.signature(GENERATORS[pyname]).parameters.values():
-        value = getattr(args, p.name)
-        if value is not None:
-            params[p.name] = value
-        elif p.default is p.empty:
-            raise CliError(f"{args.name} requires --{p.name}")
+    pyname = args.family.replace("-", "_")
+    params = {p: value for p in args.params if (value := getattr(args, p)) is not None}
     config = GENERATORS[pyname](**params)
     save_configuration(config, args.out)
     expected = expected_spectrum(pyname, **params)
@@ -174,7 +178,7 @@ def _cmd_generate(args) -> int:
             None if expected is None
             else {str(i): expected[i] for i in sorted(expected)},
     }
-    sys.stdout.write(_manifest("generate", {"generator": args.name, **params}, result))
+    sys.stdout.write(_manifest("generate", {"generator": args.family, **params}, result))
     return 0
 
 
@@ -192,18 +196,17 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_check(args) -> int:
     from .inequalities import exit_code_for, run_checks, violations
-    which = "all" if args.all else args.which
     config = load_configuration(args.input)
     s = spectrum(config, workers=_workers(args.threads))
     try:
-        reports = run_checks(s, config.is_real(), which)
+        reports = run_checks(s, config.is_real(), args.which)
     except KeyError as exc:
         raise CliError(exc.args[0]) from exc
     code = exit_code_for(reports)
     if args.format == "csv":
         _emit(reports_to_csv(reports), args.out)
         return code
-    arguments = {"input": args.input, "which": which, "format": args.format}
+    arguments = {"input": args.input, "which": args.which, "format": args.format}
     result = {
         "label": config.label,
         "n": s.n,
@@ -230,13 +233,7 @@ def _conjecture_reference(record) -> Dict:
 
 def _cmd_search(args) -> int:
     from .search import exhaustive_search, local_search
-    if args.format == "csv":
-        raise CliError("search emits JSON only")
-    if args.cap is None:
-        raise CliError("search requires --cap")
     if args.mode == "exhaustive":
-        if args.g is None:
-            raise CliError("exhaustive search requires --g")
         record = exhaustive_search(args.n, args.g, args.cap,
                                    objective=args.objective,
                                    prune=not args.no_prune)
@@ -263,8 +260,6 @@ def _cmd_search(args) -> int:
 
 def _cmd_render(args) -> int:
     from .render import _render
-    if not args.out:
-        raise CliError("render requires --out for the SVG file")
     config = load_configuration(args.input)
     svg, points, lines = _render(config)
     Path(args.out).write_text(svg, encoding="utf-8")
@@ -281,13 +276,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        handler = getattr(args, "handler", None)
-        if handler is None:
-            raise CliError("a subcommand is required "
-                           "(generate, analyze, check, search, render)")
-        if args.threads < 1:
-            raise CliError("--threads must be at least 1")
-        return handler(args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

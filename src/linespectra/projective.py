@@ -31,7 +31,8 @@ vanishing image mod p), is keyed again by the exact canonical form (over Q,
 _primitive_cross on scalar triples).  No float reaches a count.
 _tally_rows reduces any set of rows to an O(n) tally, a group-size
 histogram and degree deltas, and _fold_rows turns the tally of every row
-into line counts and degrees and checks them, for spectrum and for search.
+into line counts and degrees and checks them.  _serial_spectrum counts
+every row in one process, for spectrum and for search's scalar triples.
 spectrum(config, workers) with workers > 1 counts a configuration of at
 least _FORK_FLOOR points in interleaved stripes of rows, the first in the
 caller and each other one in a forked process (_forked_tallies); each
@@ -732,7 +733,18 @@ def spectrum(config: Configuration, workers: int = 1) -> LineSpectrum:
     keyed = _keyed_items(config)
     if workers > 1 and n >= _FORK_FLOOR and hasattr(os, "fork"):
         return _fold_rows(n, *_merged(_forked_tallies(n, keyed, workers)))
-    return _fold_rows(n, *_tally_rows(n, _screened_rows(*keyed, range(n - 1))))
+    return _serial_spectrum(*keyed)
+
+
+def _serial_spectrum(items, exact_key=None, screen=None) -> LineSpectrum:
+    """The spectrum of n >= 1 distinct points, every row counted in this
+    process: of the kernel input _keyed_items makes, or, given only items,
+    of scalar triples over Q keyed as _keyed_items keys them (search's
+    score)."""
+    n = len(items)
+    if exact_key is None:
+        exact_key, screen = _primitive_cross, _slope_screen(items)
+    return _fold_rows(n, *_tally_rows(n, _screened_rows(items, exact_key, screen, range(n - 1))))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import itertools
 import math
 from typing import List, Optional, Tuple
 
-from .fields import FieldElement
+from .fields import FieldElement, QUADRATIC, RATIONAL
 from .projective import Configuration, spanned_lines
 
 
@@ -28,9 +28,9 @@ class RenderError(ValueError):
 def _embed(e: FieldElement) -> float:
     field = e.field
     coeffs = e.coeffs
-    if field.kind == "rational":
+    if field.kind == RATIONAL:
         return float(coeffs[0])
-    if field.kind == "quadratic":
+    if field.kind == QUADRATIC:
         a, b = coeffs
         if field.d < 0:
             return float(a)

@@ -20,15 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constructions import _distinct_points
 from .fields import rational_field
-from .projective import (
-    Configuration,
-    ProjectivePoint,
-    _fold_rows,
-    _primitive_cross,
-    _screened_rows,
-    _slope_screen,
-    _tally_rows,
-)
+from .projective import Configuration, ProjectivePoint, _serial_spectrum
 from .serialization import dumps
 
 OBJECTIVES = ("incidences", "lines")
@@ -49,11 +41,9 @@ SearchRecord = namedtuple("SearchRecord", (
 
 
 def _score(pts: Sequence[Tuple[int, int]], objective: str) -> Tuple[int, int]:
-    """(objective value, max_collinear) for distinct integer points, folded
-    from the spectrum's row kernel over their (x, y, 1) triples."""
-    items = [(x, y, 1) for x, y in pts]
-    rows = _screened_rows(items, _primitive_cross, _slope_screen(items), range(len(items) - 1))
-    s = _fold_rows(len(items), *_tally_rows(len(items), rows))
+    """(objective value, max_collinear) for distinct integer points, counted
+    by the spectrum's row kernel on their (x, y, 1) triples."""
+    s = _serial_spectrum([(x, y, 1) for x, y in pts])
     return (s.incidences if objective == "incidences" else s.total_lines), s.max_collinear
 
 

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
-from .fields import FieldDescriptor, FieldError
+from .fields import FieldDescriptor, FieldError, RATIONAL
 from .projective import Configuration, LineSpectrum, ProjectivePoint
 
 if TYPE_CHECKING:  # annotations only: loading serialization imports neither
@@ -105,7 +105,7 @@ def config_to_json(config: Configuration) -> Dict:
     canonical integer vectors, every coefficient over the pivot (the first
     nonzero coordinate's first entry, a positive integer) in lowest terms:
     the coefficients of `coords`, with no field element built."""
-    write = _rational_point_json if config.field.kind == "rational" else _point_json
+    write = _rational_point_json if config.field.kind == RATIONAL else _point_json
     return {
         "field": field_to_json(config.field),
         "label": config.label,
@@ -139,7 +139,7 @@ def config_from_json(data) -> Configuration:
     raw_points = data["points"]
     if not isinstance(raw_points, list) or not raw_points:
         raise SerializationError("points must be a non-empty array")
-    read = _rational_point if field.kind == "rational" else _point
+    read = _rational_point if field.kind == RATIONAL else _point
     points = []
     for idx, triple in enumerate(raw_points):
         if not isinstance(triple, list) or len(triple) != 3:
@@ -189,7 +189,7 @@ def _points_text(config: Configuration) -> str:
     separators: each bracket and literal on its own line, indented two
     spaces per level of nesting.  Each literal comes from _coeff_str, digits
     with an optional sign and "/", so none needs escaping."""
-    if config.field.kind == "rational":
+    if config.field.kind == RATIONAL:
         inner = ['",\n      "'.join(_rational_point_json(p.intvecs)) for p in config.points]
         return '    [\n      "' + '"\n    ],\n    [\n      "'.join(inner) + '"\n    ]'
     coeff, coord = '",\n        "', '"\n      ],\n      [\n        "'

@@ -85,8 +85,7 @@ def test_generate_requires_out(capsys):
     assert "error:" in err
 
 
-# the parameters each family cannot do without; random's seed comes from
-# the common --seed
+# the parameters each family cannot do without; random's --seed defaults to 0
 REQUIRED_PARAMS = {
     "boroczky": ("m",), "cuspidal-cubic": ("k",), "fermat": ("m",),
     "grid": ("a", "b"), "near-pencil": ("n",), "random": ("n",),
@@ -101,32 +100,130 @@ def test_generate_requires_family_parameters(tmp_path, capsys, family, missing):
     code, out, err = run(capsys, "generate", family, *given,
                          "--out", str(tmp_path / "f.json"))
     assert (code, out) == (1, "")
-    assert err == f"error: {family} requires --{missing}\n"
+    assert err == f"error: the following arguments are required: --{missing}\n"
     assert not (tmp_path / "f.json").exists()
 
 
-COMMON_OPTIONS = {"-h", "--help", "--format", "--out", "--seed", "--threads"}
-SUBCOMMAND_OPTIONS = {
-    "generate": {"--a", "--b", "--bound", "--k", "--m", "--n"},
-    "analyze": set(),
-    "check": {"--all"},
-    "search": {"--n", "--g", "--cap", "--bound", "--iterations", "--restarts",
-               "--objective", "--no-prune", "--checkpoint"},
-    "render": set(),
+COUNTING_OPTIONS = {"--format", "--out", "--threads"}
+SEARCH_OPTIONS = {"--n", "--cap", "--objective", "--out"}
+PARSER_OPTIONS = {
+    ("analyze",): COUNTING_OPTIONS,
+    ("check",): COUNTING_OPTIONS,
+    ("render",): {"--out"},
+    ("search", "exhaustive"): SEARCH_OPTIONS | {"--g", "--no-prune"},
+    ("search", "local"): SEARCH_OPTIONS | {"--bound", "--iterations", "--restarts",
+                                           "--seed", "--checkpoint"},
+    **{("generate", family): {f"--{p}" for p in params} | {"--out"}
+       for family, params in REQUIRED_PARAMS.items()},
 }
+PARSER_OPTIONS["generate", "random"] |= {"--seed", "--bound"}
+
+
+def _subparsers(parser):
+    # {name: parser} of the parser's subcommands, search modes or families
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def _leaves(parser, path=()):
+    # (path, parser) of every parser that has no subparsers of its own
+    if not _subparsers(parser):
+        yield path, parser
+    for name, sub in _subparsers(parser).items():
+        yield from _leaves(sub, (*path, name))
 
 
 def test_subcommand_options_are_fixed():
-    # generate's options come from the generator signatures; together with
-    # the hand-written ones they must stay exactly these
-    sub = next(a for a in cli_mod.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(SUBCOMMAND_OPTIONS)
-    for name, options in SUBCOMMAND_OPTIONS.items():
-        found = {o for a in sub.choices[name]._actions for o in a.option_strings}
-        assert found == options | COMMON_OPTIONS, name
-    generate = next(a for a in sub.choices["generate"]._actions if a.dest == "name")
-    assert set(generate.choices) == set(REQUIRED_PARAMS)
+    # generate's families take their options from the generator signatures;
+    # together with the hand-written ones they must stay exactly these
+    found = {path: {o for a in leaf._actions for o in a.option_strings} - {"-h", "--help"}
+             for path, leaf in _leaves(cli_mod.build_parser())}
+    assert found == PARSER_OPTIONS
+    for middle in ("generate", "search"):
+        middle = _subparsers(cli_mod.build_parser())[middle]
+        assert {o for a in middle._actions for o in a.option_strings} == {"-h", "--help"}
+
+
+class _ReadLog(argparse.Namespace):
+    """A namespace that logs the name of every attribute read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            super().__getattribute__("_read").add(name)
+        return super().__getattribute__(name)
+
+
+def _leaf(parser, argv):
+    # the parser that takes the options of argv: the last subcommand,
+    # search mode or family named at its start
+    for word in argv:
+        if word not in _subparsers(parser):
+            break
+        parser = _subparsers(parser)[word]
+    return parser
+
+
+# one valid call of each subcommand, search mode and generator family
+HANDLER_CALLS = [
+    ("analyze", "c.json"),
+    ("check", "c.json"),
+    ("render", "c.json", "--out", "c.svg"),
+    ("search", "exhaustive", "--n", "4", "--g", "3", "--cap", "2"),
+    ("search", "local", "--n", "5", "--cap", "3", "--iterations", "5", "--restarts", "1"),
+    *[("generate", family, *[arg for p in params for arg in (f"--{p}", "3")],
+       "--out", "g.json") for family, params in REQUIRED_PARAMS.items()],
+]
+
+
+def test_every_option_is_read_by_its_handler(tmp_path, capsys, monkeypatch):
+    # an option its handler never reads would be accepted and ignored
+    # without a word
+    monkeypatch.chdir(tmp_path)
+    save_configuration(grid(3, 3), "c.json")
+    parser = cli_mod.build_parser()
+    unread = set()
+    for argv in HANDLER_CALLS:
+        args = _ReadLog(**vars(parser.parse_args(argv)))
+        args._read = set()
+        assert args.handler(args) == 0, argv
+        leaf = _leaf(parser, argv)
+        unread |= {(argv[:2], a.dest) for a in leaf._actions
+                   if not isinstance(a, argparse._HelpAction) and a.dest not in args._read}
+    capsys.readouterr()
+    assert sorted(unread) == []
+    called = {id(_leaf(parser, argv)) for argv in HANDLER_CALLS}
+    assert called == {id(leaf) for _, leaf in _leaves(parser)}
+    assert len(called) == 13
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "exhaustive", "--n", "4", "--g", "3", "--cap", "3", "--checkpoint", "x.ckpt"),
+    ("search", "local", "--n", "5", "--cap", "3", "--g", "3", "--out", "x.json"),
+    ("generate", "fermat", "--m", "4", "--k", "9", "--out", "x.json"),
+    ("generate", "grid", "--a", "2", "--b", "2", "--seed", "5", "--out", "x.json"),
+    ("render", "c.json", "--format", "csv", "--out", "x.svg"),
+    ("analyze", "c.json", "--seed", "3", "--out", "x.json"),
+    ("check", "c.json", "--threads", "0", "--out", "x.json"),
+    ("analyze", "c.json", "--threads", "two", "--out", "x.json"),
+], ids=" ".join)
+def test_an_option_the_command_does_not_take_is_refused(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    save_configuration(grid(3, 3), "c.json")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]
+
+
+def test_every_parser_renders_its_help():
+    def parsers(parser):
+        yield parser
+        for sub in _subparsers(parser).values():
+            yield from parsers(sub)
+
+    helps = [p.format_help() for p in parsers(cli_mod.build_parser())]
+    assert len(helps) == 16
+    assert all(h.startswith("usage: linespectra") for h in helps)
 
 
 # --- analyze ---
@@ -413,11 +510,12 @@ def test_check_group_prefix(tmp_path, capsys):
     }
 
 
-def test_check_all_flag_overrides_positional(tmp_path, capsys):
+def test_check_refuses_the_all_flag(tmp_path, capsys):
+    # every check is the default of the positional `which`
     path = gen(tmp_path, capsys, "grid", "--a", "2", "--b", "2")
-    code, out, _ = run(capsys, "check", str(path), "melchior", "--all")
-    assert code == 0
-    assert len(json.loads(out)["result"]["reports"]) == 35
+    code, out, err = run(capsys, "check", str(path), "melchior", "--all")
+    assert (code, out) == (1, "")
+    assert err == "error: unrecognized arguments: --all\n"
 
 
 def test_check_unknown_name(tmp_path, capsys):

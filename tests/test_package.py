@@ -226,6 +226,39 @@ def test_only_serialization_writes_json():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
+KERNEL_INTERNALS = {"_screened_rows", "_tally_rows", "_fold_rows", "_slope_screen"}
+
+
+def _kernel_names(source):
+    # (line, name) of each kernel internal the module names: read, imported
+    # or reached as an attribute
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in KERNEL_INTERNALS]
+    return sorted(found)
+
+
+def test_only_projective_names_the_kernel_internals():
+    # spectrum and search count rows through projective._serial_spectrum;
+    # the kernel's row, tally and fold functions stay inside projective
+    sample = ("from .projective import _fold_rows, spectrum\n"
+              "import linespectra.projective as p\np._tally_rows(1, [])\n")
+    assert _kernel_names(sample) == [(1, "_fold_rows"), (3, "_tally_rows")]
+    package = Path(linespectra.__file__).parent
+    found = {path.name: _kernel_names(path.read_text()) for path in package.glob("*.py")
+             if path.name != "projective.py"}
+    assert len(found) == 9
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def _type_checking_names(module):
     # the names bound by the module's `if TYPE_CHECKING:` imports, imported
     # as a type checker reads them
