@@ -17,12 +17,12 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "constructions": "ConstructionError GENERATORS boroczky cuspidal_cubic expected_spectrum "
+    "constructions": "ConstructionError GENERATORS boroczky expected_spectrum "
                      "fermat grid near_pencil random_config sylvester_cubic two_lines",
     "fields": "FieldDescriptor FieldElement FieldError FieldMismatchError cyclotomic_field "
               "cyclotomic_polynomial euler_phi quadratic_field rational_field",
-    "inequalities": "ALPHA BETA PROVEN_KINDS InequalityReport all_reports "
-                    "compare_with_quadratic exit_code_for run_checks violations",
+    "inequalities": "ALPHA BETA PROVEN_KINDS InequalityReport all_reports exit_code_for "
+                    "run_checks violations",
     "projective": "Configuration DuplicatePointError GeometryError InternalError LineKey "
                   "LineSpectrum ProjectivePoint apply_projective_map collinear line_through "
                   "oracle_spanned_lines spanned_lines spectrum",

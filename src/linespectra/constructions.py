@@ -131,12 +131,6 @@ def sylvester_cubic(k: int) -> Configuration:
     return Configuration(field, _points(field, triples), label=f"sylvester_cubic(k={k})")
 
 
-# Historical alias: the generator originally modeled a cuspidal cubic, whose
-# group (R, +) provably cannot reach the ~n^2/6 spanned-line density; the
-# acnodal group model replaced it.  Same signature, n = 2k points.
-cuspidal_cubic = sylvester_cubic
-
-
 def two_lines(m: int) -> Configuration:
     """2m rational points, m on each coordinate axis: (j, 0) and (0, j) for
     j = 1..m.  Every cross line carries exactly two points."""
@@ -211,7 +205,7 @@ def expected_spectrum(name: str, **params) -> Optional[Dict[int, int]]:
         if m == 4:
             return {2: 4, 3: chords, 4: 1}
         return {2: m, 3: chords, m: 1}
-    if name in ("sylvester_cubic", "cuspidal_cubic"):
+    if name == "sylvester_cubic":
         m = 2 * params["k"]
         g = 3 if m % 3 == 0 else 1
         triples = (m * m - 3 * m + 2 * g) // 6
@@ -237,7 +231,6 @@ GENERATORS = {
     "fermat": fermat,
     "boroczky": boroczky,
     "sylvester_cubic": sylvester_cubic,
-    "cuspidal_cubic": cuspidal_cubic,
     "two_lines": two_lines,
     "near_pencil": near_pencil,
     "grid": grid,

@@ -4,10 +4,13 @@ Every check consumes a LineSpectrum (plus a realness flag where the statement
 only holds over the reals) and produces InequalityReport values with exact
 rational lhs/rhs/slack.  No floating point is involved anywhere in a verdict;
 the two irrational thresholds alpha = (6+sqrt(3))/9 and beta = (4+sqrt(2))/6
-live in quadratic fields and are compared by sign analysis and squaring.
+are read as integers (u + v*sqrt(d))/w, and "more than threshold*n points"
+is decided once, by `_above`, as w*mc - u*n > 0 and (w*mc - u*n)^2 >
+d*v^2*n^2.
 
 Applicability gates mirror each statement's hypotheses (realness, maximum
-collinearity caps, minimum size).  A report that is not applicable still
+collinearity caps, minimum size); `_gate` reads them in order and the first
+one that fails names the reason.  A report that is not applicable still
 carries the computed lhs/rhs, so e.g. the failure of the ordinary-line bound
 on the Fermat configurations is visible rather than suppressed.
 """
@@ -61,33 +64,28 @@ def _report(name: str, kind: str, applicable: bool, reason: str, relation: str,
 
 
 # ---------------------------------------------------------------------------
-# Exact comparison of a rational against a + b*sqrt(d).
+# The two shared rules: a line above an irrational share, and a gate.
 
-def _quad_sign(a: Fraction, b: Fraction, d: int) -> int:
-    """Sign of a + b*sqrt(d) for d > 0, without approximating sqrt(d)."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    lhs = a * a
-    rhs = d * b * b
-    if lhs == rhs:
-        return 0
-    return ((a > 0) - (a < 0)) if lhs > rhs else ((b > 0) - (b < 0))
+def _above(mc: int, n: int, threshold: FieldElement):
+    """(lhs, rhs, mc > threshold*n) for threshold = (u + v*sqrt(d))/w in a
+    real quadratic field, with nums (u, v), v >= 0, and den w > 0.
+
+    mc > threshold*n reads w*mc - u*n > v*sqrt(d)*n >= 0, that is
+    gap = w*mc - u*n > 0 and gap^2 > d*v^2*n^2, all in integers; lhs and
+    rhs are those two squares."""
+    (u, v), w = threshold.nums, threshold.den
+    gap = w * mc - u * n
+    lhs, rhs = gap * gap, threshold.field.d * v * v * n * n
+    return lhs, rhs, gap > 0 and lhs > rhs
 
 
-def compare_with_quadratic(value: Fraction, threshold: FieldElement) -> int:
-    """Sign of value - threshold, threshold living in a real quadratic field."""
-    a, b = threshold.coeffs
-    return _quad_sign(Fraction(value) - a, -b, threshold.field.d)
-
-
-def _exceeds(value, threshold: FieldElement) -> bool:
-    return compare_with_quadratic(Fraction(value), threshold) > 0
+def _gate(success: str, *hypotheses):
+    """(applicable, reason) for hypotheses given as (holds, reason_if_not)
+    pairs: the reason of the first that fails, or success if none does."""
+    for holds, reason in hypotheses:
+        if not holds:
+            return False, reason
+    return True, success
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +99,11 @@ def _sum_ell(s: LineSpectrum, lo: int, weight) -> Fraction:
     return total
 
 
-def _collinear_cap_ok(s: LineSpectrum) -> bool:
-    return 3 * s.max_collinear <= 2 * s.n
-
-
-def _cap_reason(s: LineSpectrum, ok: bool) -> str:
-    bound = Fraction(2 * s.n, 3)
-    if ok:
-        return f"max collinearity {s.max_collinear} <= 2n/3 = {bound}"
-    return f"max collinearity {s.max_collinear} exceeds 2n/3 = {bound}"
+def _cap(s: LineSpectrum):
+    """The gate of the statements that assume at most 2n/3 collinear."""
+    mc, bound = s.max_collinear, Fraction(2 * s.n, 3)
+    return _gate(f"max collinearity {mc} <= 2n/3 = {bound}",
+                 (3 * mc <= 2 * s.n, f"max collinearity {mc} exceeds 2n/3 = {bound}"))
 
 
 def _real_reason(real: bool) -> str:
@@ -136,8 +130,7 @@ def check_basic(s: LineSpectrum) -> List[InequalityReport]:
 
 def check_langer(s: LineSpectrum) -> InequalityReport:
     """I >= n(n+3)/3 whenever at most 2n/3 points are collinear."""
-    ok = _collinear_cap_ok(s)
-    return _report("langer", "theorem", ok, _cap_reason(s, ok), ">=",
+    return _report("langer", "theorem", *_cap(s), ">=",
                    s.incidences, Fraction(s.n * (s.n + 3), 3))
 
 
@@ -146,33 +139,22 @@ def check_melchior(s: LineSpectrum, real: bool) -> InequalityReport:
 
     Computed even when not applicable: the complex configurations that break
     it are exactly the interesting ones to look at."""
-    noncollinear = s.max_collinear < s.n
-    applicable = real and noncollinear and s.n >= 3
-    if not real:
-        reason = _real_reason(real)
-    elif not noncollinear:
-        reason = "all points collinear"
-    elif s.n < 3:
-        reason = "needs at least 3 points"
-    else:
-        reason = "real and not collinear"
+    gate = _gate("real and not collinear", (real, _real_reason(real)),
+                 (s.max_collinear < s.n, "all points collinear"),
+                 (s.n >= 3, "needs at least 3 points"))
     rhs = 3 + _sum_ell(s, 4, lambda i: i - 3)
-    return _report("melchior", "theorem", applicable, reason, ">=",
-                   s.count(2), rhs)
+    return _report("melchior", "theorem", *gate, ">=", s.count(2), rhs)
 
 
 def check_hirzebruch(s: LineSpectrum) -> InequalityReport:
     """l2 + (3/4) l3 >= n + sum_{i>=5} (2i-9) l_i when at most n-3 collinear."""
-    ok = s.n >= 4 and s.max_collinear <= s.n - 3
-    if s.n < 4:
-        reason = "needs at least 4 points"
-    elif ok:
-        reason = f"max collinearity {s.max_collinear} <= n-3 = {s.n - 3}"
-    else:
-        reason = f"max collinearity {s.max_collinear} exceeds n-3 = {s.n - 3}"
+    mc, cap = s.max_collinear, s.n - 3
+    gate = _gate(f"max collinearity {mc} <= n-3 = {cap}",
+                 (s.n >= 4, "needs at least 4 points"),
+                 (mc <= cap, f"max collinearity {mc} exceeds n-3 = {cap}"))
     lhs = s.count(2) + Fraction(3, 4) * s.count(3)
     rhs = s.n + _sum_ell(s, 5, lambda i: 2 * i - 9)
-    return _report("hirzebruch", "theorem", ok, reason, ">=", lhs, rhs)
+    return _report("hirzebruch", "theorem", *gate, ">=", lhs, rhs)
 
 
 def check_bojanowski(s: LineSpectrum) -> List[InequalityReport]:
@@ -180,15 +162,13 @@ def check_bojanowski(s: LineSpectrum) -> List[InequalityReport]:
     2n/3 cap: the weighted form and the quadratic-weight rearrangement
     sum (4i - i^2) l_i >= 4n.  The latter restates the incidence bound, so
     its verdict must always agree with check_langer."""
-    ok = _collinear_cap_ok(s)
-    reason = _cap_reason(s, ok)
+    gate = _cap(s)
     lhs6 = s.count(2) + Fraction(3, 4) * s.count(3)
     rhs6 = s.n + _sum_ell(s, 5, lambda i: Fraction(i * i - 4 * i, 4))
     lhs7 = sum(Fraction(4 * i - i * i) * c for i, c in s.ell.items())
     return [
-        _report("bojanowski_weighted", "theorem", ok, reason, ">=", lhs6, rhs6),
-        _report("bojanowski_quadratic", "theorem", ok, reason, ">=",
-                lhs7, 4 * s.n),
+        _report("bojanowski_weighted", "theorem", *gate, ">=", lhs6, rhs6),
+        _report("bojanowski_quadratic", "theorem", *gate, ">=", lhs7, 4 * s.n),
     ]
 
 
@@ -196,20 +176,13 @@ def _beck_two_alternatives(name: str, s: LineSpectrum, applicable: bool,
                            gate_reason: str, threshold: FieldElement,
                            lines_rhs: Fraction) -> InequalityReport:
     """Shared shape of the two-extremes theorems: either some line holds more
-    than threshold*n points, or the configuration spans many lines.
-
-    When the first alternative fires, the margin is irrational, so the report
-    compares squares.  With threshold = u + v*sqrt(d), v > 0, and w the lcm
-    of the denominators of u and v (the element's den, so w*u and w*v are its
-    nums), mc > threshold*n reads w*mc - w*u*n > w*v*sqrt(d)*n > 0, that is
-    (w*mc - w*u*n)^2 > d*(w*v)^2*n^2, all in integers."""
-    mc, n = s.max_collinear, s.n
-    if _exceeds(Fraction(mc), threshold * n):
-        (wu, wv), w = threshold.nums, threshold.den
-        lhs = Fraction((w * mc - wu * n) ** 2)
+    than threshold*n points, or the configuration spans many lines.  When
+    the first alternative fires, the margin is irrational, so the report
+    compares `_above`'s squares."""
+    lhs, rhs, above = _above(s.max_collinear, s.n, threshold)
+    if above:
         reason = gate_reason + "; a single line exceeds the threshold share"
-        return _report(name, "theorem", applicable, reason, ">",
-                       lhs, Fraction(threshold.field.d * wv * wv * n * n))
+        return _report(name, "theorem", applicable, reason, ">", lhs, rhs)
     reason = gate_reason + "; no line exceeds the threshold share"
     return _report(name, "theorem", applicable, reason, ">=",
                    Fraction(s.total_lines), lines_rhs)
@@ -222,10 +195,9 @@ def check_beck_real(s: LineSpectrum, real: bool) -> List[InequalityReport]:
     n = s.n
     main = _beck_two_alternatives(
         "beck_real", s, real, _real_reason(real), ALPHA, Fraction(n * n, 9))
-    capped = real and _collinear_cap_ok(s)
-    reason = _real_reason(real) + "; " + _cap_reason(s, _collinear_cap_ok(s))
-    refinement = _report("beck_real_line_count", "theorem", capped, reason,
-                         ">=", 3 * s.total_lines,
+    capped, reason = _cap(s)
+    refinement = _report("beck_real_line_count", "theorem", real and capped,
+                         _real_reason(real) + "; " + reason, ">=", 3 * s.total_lines,
                          Fraction(n * n + 3 * n + 9, 3))
     return [main, refinement]
 
@@ -237,20 +209,16 @@ def check_beck_complex(s: LineSpectrum) -> List[InequalityReport]:
     n = s.n
     main = _beck_two_alternatives(
         "beck_complex", s, True, "no realness hypothesis", BETA, Fraction(n * n, 12))
-    capped = _collinear_cap_ok(s)
-    refinement = _report("beck_complex_line_count", "theorem", capped,
-                         _cap_reason(s, capped), ">=", s.total_lines,
+    refinement = _report("beck_complex_line_count", "theorem", *_cap(s),
+                         ">=", s.total_lines,
                          Fraction((n + 3) ** 2, 12))
     return [main, refinement]
 
 
 def check_kn_lines(s: LineSpectrum, real: bool) -> InequalityReport:
     """With at most n-k collinear, at least kn/9 spanned lines (real)."""
-    applicable = real and s.n >= 3
-    if s.n < 3:
-        reason = "needs at least 3 points"
-    else:
-        reason = _real_reason(real)
+    applicable, reason = _gate(_real_reason(real), (s.n >= 3, "needs at least 3 points"),
+                               (real, _real_reason(real)))
     k = s.n - s.max_collinear
     reason += f"; k = n - max collinearity = {k}"
     return _report("kn_lines", "corollary", applicable, reason, ">=",
@@ -261,22 +229,15 @@ def check_l2l3_real(s: LineSpectrum, real: bool) -> List[InequalityReport]:
     """Ordinary and 3-point lines over the reals: l2 + l3 >= n^2/18 when at
     most alpha*n points are collinear, plus the half-the-lines lemma
     2 l2 + 2 l3 >= 3 + |L| that drives it."""
-    within_alpha = not _exceeds(Fraction(s.max_collinear), ALPHA * s.n)
-    applicable = real and s.n >= 3 and within_alpha
-    if s.n < 3:
-        reason = "needs at least 3 points"
-    elif not real:
-        reason = _real_reason(real)
-    elif within_alpha:
-        reason = f"real; max collinearity {s.max_collinear} within alpha*n"
-    else:
-        reason = f"real; max collinearity {s.max_collinear} exceeds alpha*n"
+    mc = s.max_collinear
+    within = not _above(mc, s.n, ALPHA)[2]
+    gate = _gate(f"real; max collinearity {mc} within alpha*n",
+                 (s.n >= 3, "needs at least 3 points"), (real, _real_reason(real)),
+                 (within, f"real; max collinearity {mc} exceeds alpha*n"))
     lhs = s.count(2) + s.count(3)
     return [
-        _report("l2l3_quadratic", "corollary", applicable, reason, ">=",
-                lhs, Fraction(s.n * s.n, 18)),
-        _report("l2l3_majority", "corollary", applicable, reason, ">=",
-                2 * lhs, 3 + s.total_lines),
+        _report("l2l3_quadratic", "corollary", *gate, ">=", lhs, Fraction(s.n * s.n, 18)),
+        _report("l2l3_majority", "corollary", *gate, ">=", 2 * lhs, 3 + s.total_lines),
     ]
 
 
@@ -287,36 +248,29 @@ def check_rich_lines(s: LineSpectrum, k: int) -> List[InequalityReport]:
     step using the n^2/12 line count."""
     if k < 5:
         raise ValueError(f"rich-line bound needs k >= 5, got {k}")
-    ok = _collinear_cap_ok(s)
-    reason = _cap_reason(s, ok)
+    gate = _cap(s)
     rich = _sum_ell(s, k, lambda i: 1)
     denom = (k - 2) ** 2
     out = [
-        _report(f"rich_lines_fraction_k{k}", "corollary", ok, reason, "<=",
+        _report(f"rich_lines_fraction_k{k}", "corollary", *gate, "<=",
                 rich, Fraction(4 * s.total_lines, denom)),
-        _report(f"rich_lines_count_k{k}", "corollary", ok, reason, "<=",
+        _report(f"rich_lines_count_k{k}", "corollary", *gate, "<=",
                 rich, Fraction(2 * s.n * s.n, denom)),
     ]
     if k == 5:
         poor = s.count(2) + s.count(3) + s.count(4)
-        out.append(_report("poor_lines_majority", "corollary", ok, reason,
+        out.append(_report("poor_lines_majority", "corollary", *gate,
                            ">", poor, Fraction(5 * s.total_lines, 9)))
-        out.append(_report("poor_lines_quadratic", "corollary", ok, reason,
+        out.append(_report("poor_lines_quadratic", "corollary", *gate,
                            ">", poor, Fraction(5 * s.n * s.n, 108)))
     return out
 
 
 def check_weak_dirac(s: LineSpectrum) -> InequalityReport:
     """Some point lies on at least (n+3)/3 spanned lines (non-collinear)."""
-    noncollinear = s.max_collinear < s.n
-    applicable = noncollinear and s.n >= 3
-    if s.n < 3:
-        reason = "needs at least 3 points"
-    elif noncollinear:
-        reason = "not all points collinear"
-    else:
-        reason = "all points collinear"
-    return _report("weak_dirac", "corollary", applicable, reason, ">=",
+    gate = _gate("not all points collinear", (s.n >= 3, "needs at least 3 points"),
+                 (s.max_collinear < s.n, "all points collinear"))
+    return _report("weak_dirac", "corollary", *gate, ">=",
                    max(s.degrees), Fraction(s.n + 3, 3))
 
 
@@ -324,39 +278,32 @@ def check_section3_chain(s: LineSpectrum) -> List[InequalityReport]:
     """Consequences under the 2n/3 cap: l4 <= n^2/12 (pair counting),
     l2 + l3 >= n/4 + 3/8 (via the complex line count), and the direct
     l2 + l3 >= n."""
-    ok = _collinear_cap_ok(s)
-    reason = _cap_reason(s, ok)
+    gate = _cap(s)
     n = s.n
     l23 = s.count(2) + s.count(3)
     return [
-        _report("l4_bound", "corollary", ok, reason, "<=",
-                s.count(4), Fraction(n * n, 12)),
-        _report("l2l3_vs_quarter_n", "corollary", ok, reason, ">=",
+        _report("l4_bound", "corollary", *gate, "<=", s.count(4), Fraction(n * n, 12)),
+        _report("l2l3_vs_quarter_n", "corollary", *gate, ">=",
                 l23, Fraction(n, 4) + Fraction(3, 8)),
-        _report("l2l3_at_least_n", "corollary", ok, reason, ">=", l23, n),
+        _report("l2l3_at_least_n", "corollary", *gate, ">=", l23, n),
     ]
 
 
 def check_conjecture3(s: LineSpectrum, real: bool) -> InequalityReport:
     """Conjectured I >= (3/8) n^2 for real sets with at most n/2 collinear.
     Report-only: never fails a run."""
-    within = 2 * s.max_collinear <= s.n
-    applicable = real and within
-    if not real:
-        reason = _real_reason(real)
-    elif within:
-        reason = f"real; max collinearity {s.max_collinear} <= n/2"
-    else:
-        reason = f"real; max collinearity {s.max_collinear} exceeds n/2"
-    return _report("incidence_conjecture", "conjecture", applicable, reason,
-                   ">=", s.incidences, Fraction(3 * s.n * s.n, 8))
+    mc = s.max_collinear
+    gate = _gate(f"real; max collinearity {mc} <= n/2", (real, _real_reason(real)),
+                 (2 * mc <= s.n, f"real; max collinearity {mc} exceeds n/2"))
+    return _report("incidence_conjecture", "conjecture", *gate, ">=",
+                   s.incidences, Fraction(3 * s.n * s.n, 8))
 
 
 def check_brass_l4(s: LineSpectrum, real: bool) -> InequalityReport:
     """Informational real-plane bound l4 < n^2/14."""
-    applicable = real and s.n >= 4
-    reason = _real_reason(real) if s.n >= 4 else "needs at least 4 points"
-    return _report("brass_l4", "informational", applicable, reason, "<",
+    gate = _gate(_real_reason(real), (s.n >= 4, "needs at least 4 points"),
+                 (real, _real_reason(real)))
+    return _report("brass_l4", "informational", *gate, "<",
                    s.count(4), Fraction(s.n * s.n, 14))
 
 

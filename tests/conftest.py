@@ -39,7 +39,7 @@ def corpus_cases():
     cases += [("boroczky", (m,)) for m in range(3, 21)]
     cases += [("two_lines", (m,)) for m in range(2, 16)]
     cases += [("near_pencil", (n,)) for n in range(3, 31)]
-    cases += [("cuspidal_cubic", (k,)) for k in range(2, 16)]
+    cases += [("sylvester_cubic", (k,)) for k in range(2, 16)]
     cases += [("grid", (a, b)) for a in range(2, 7) for b in range(a, 7)]
     cases += [("random", (4 + seed % 37, seed)) for seed in range(100)]
     return cases

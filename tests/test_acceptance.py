@@ -167,7 +167,7 @@ def test_criterion_08_projective_invariance(capsys, get_config):
         ("grid", (3, 5)),
         ("near_pencil", (10,)),
         ("two_lines", (5,)),
-        ("cuspidal_cubic", (6,)),
+        ("sylvester_cubic", (6,)),
         ("random", (20, 0)),
         ("random", (25, 1)),
     ]
@@ -200,7 +200,7 @@ def test_criterion_08_projective_invariance(capsys, get_config):
 
 
 def test_criterion_09_density_landmarks(capsys, get_spectrum):
-    s = get_spectrum("cuspidal_cubic", 30)
+    s = get_spectrum("sylvester_cubic", 30)
     ratio = Fraction(s.total_lines, s.n * s.n)
     lo = Fraction(1, 6) - Fraction(2, 100)
     hi = Fraction(1, 6) + Fraction(2, 100)

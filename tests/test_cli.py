@@ -73,10 +73,13 @@ def test_generate_random_echoes_seed(tmp_path, capsys):
 
 def test_generate_hyphenated_aliases(tmp_path, capsys):
     a = gen(tmp_path, capsys, "sylvester-cubic", "--k", "3")
-    label_a = load_configuration(str(a)).label
-    b = gen(tmp_path, capsys, "cuspidal-cubic", "--k", "3")
-    label_b = load_configuration(str(b)).label
-    assert label_a == label_b == "sylvester_cubic(k=3)"
+    assert load_configuration(str(a)).label == "sylvester_cubic(k=3)"
+    # the old cuspidal name is refused and writes nothing
+    path = tmp_path / "x.json"
+    code, _, err = run(capsys, "generate", "cuspidal-cubic", "--k", "3", "--out", str(path))
+    assert code == 1
+    assert "error:" in err
+    assert not path.exists()
 
 
 def test_generate_requires_out(capsys):
@@ -87,7 +90,7 @@ def test_generate_requires_out(capsys):
 
 # the parameters each family cannot do without; random's --seed defaults to 0
 REQUIRED_PARAMS = {
-    "boroczky": ("m",), "cuspidal-cubic": ("k",), "fermat": ("m",),
+    "boroczky": ("m",), "fermat": ("m",),
     "grid": ("a", "b"), "near-pencil": ("n",), "random": ("n",),
     "sylvester-cubic": ("k",), "two-lines": ("m",),
 }
@@ -193,7 +196,7 @@ def test_every_option_is_read_by_its_handler(tmp_path, capsys, monkeypatch):
     assert sorted(unread) == []
     called = {id(_leaf(parser, argv)) for argv in HANDLER_CALLS}
     assert called == {id(leaf) for _, leaf in _leaves(parser)}
-    assert len(called) == 13
+    assert len(called) == 12
 
 
 @pytest.mark.parametrize("argv", [
@@ -222,7 +225,7 @@ def test_every_parser_renders_its_help():
             yield from parsers(sub)
 
     helps = [p.format_help() for p in parsers(cli_mod.build_parser())]
-    assert len(helps) == 16
+    assert len(helps) == 15
     assert all(h.startswith("usage: linespectra") for h in helps)
 
 
@@ -411,9 +414,6 @@ PINNED_GENERATED = {
     ("fermat", "--m", "16"):
         ("56e06cbe1ca8f46cd2280024a369ad3426203f4fbaa0e8b47337cd530421ccfb",
          "31144048bca08405663ad7b9d770b471f52e665585e25bd66c9757cc588e0f1a"),
-    ("cuspidal-cubic", "--k", "5"):
-        ("722fc545c50e3a85b0dd3ae5e2014f3412a08e2b817bc8cc3610502aba8ba150",
-         "c8fc85ab366ec5209630cfbc2eb1857fccdea7f089b489c0a98146a4c0bb0d3b"),
     ("grid", "--a", "4", "--b", "3"):
         ("2e799bce2434bd4eacfecad168e19ed1f1881d0bd9175fcee3e5fe435fdadaed",
          "4619ae85e1f1423c3dfc0d70f93841da70622a7dc2ef7240e56989b2303d780f"),

@@ -11,7 +11,6 @@ from linespectra.constructions import (
     _over_x_minus_1,
     _vector,
     boroczky,
-    cuspidal_cubic,
     expected_spectrum,
     fermat,
     grid,
@@ -26,8 +25,7 @@ from linespectra.projective import Configuration, ProjectivePoint, collinear, sp
 CLOSED_FORM_CASES = (
     [("fermat", {"m": m}) for m in range(3, 9)]
     + [("boroczky", {"m": m}) for m in range(3, 11)]
-    + [("sylvester_cubic", {"k": k}) for k in range(2, 9)]
-    + [("cuspidal_cubic", {"k": k}) for k in range(2, 6)]
+    + [("sylvester_cubic", {"k": k}) for k in range(2, 13)]
     + [("two_lines", {"m": m}) for m in range(2, 11)]
     + [("near_pencil", {"n": n}) for n in range(3, 13)]
     # the sizes the check-families benchmark workload runs
@@ -118,9 +116,14 @@ def test_sylvester_no_four_collinear(k, get_spectrum):
     assert get_spectrum("sylvester_cubic", k).max_collinear == 3
 
 
-def test_cuspidal_alias_is_the_same_generator():
-    assert cuspidal_cubic is sylvester_cubic
-    assert GENERATORS["cuspidal_cubic"] is GENERATORS["sylvester_cubic"]
+def test_cuspidal_cubic_is_not_a_public_name():
+    import linespectra
+    import linespectra.constructions
+
+    assert "cuspidal_cubic" not in GENERATORS
+    assert not hasattr(linespectra.constructions, "cuspidal_cubic")
+    assert "cuspidal_cubic" not in linespectra.__all__
+    assert expected_spectrum("cuspidal_cubic", k=3) is None
 
 
 def test_grid_frozen_spectra(get_spectrum):
@@ -206,7 +209,6 @@ def test_registry_covers_every_generator():
         "fermat",
         "boroczky",
         "sylvester_cubic",
-        "cuspidal_cubic",
         "two_lines",
         "near_pencil",
         "grid",

@@ -1,6 +1,9 @@
 """Inequality reports: worked examples, report invariants, exit codes."""
 
+import hashlib
+import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,19 +17,23 @@ from linespectra.constructions import (
     random_config,
     two_lines,
 )
+from linespectra.fields import FieldElement
 from linespectra.inequalities import (
     ALPHA,
     BETA,
     PROVEN_KINDS,
     InequalityReport,
+    _above,
     all_reports,
     check_rich_lines,
-    compare_with_quadratic,
     exit_code_for,
     run_checks,
     violations,
 )
-from linespectra.projective import LineSpectrum, spectrum
+from linespectra.projective import LineSpectrum, _spectrum_of, spectrum
+from linespectra.serialization import report_to_json
+
+from conftest import corpus_cases
 
 
 def by_name(reports):
@@ -37,24 +44,42 @@ def by_name(reports):
 
 
 def test_alpha_comparator():
-    assert compare_with_quadratic(Fraction(86, 100), ALPHA) == 1
-    assert compare_with_quadratic(Fraction(85, 100), ALPHA) == -1
-    assert compare_with_quadratic(Fraction(2, 3), ALPHA) == -1
-    assert compare_with_quadratic(Fraction(9, 10), ALPHA) == 1
+    # _above(mc, n, t)[2] decides mc > t*n, that is mc/n > t
+    assert _above(86, 100, ALPHA)[2]
+    assert not _above(85, 100, ALPHA)[2]
+    assert not _above(2, 3, ALPHA)[2]
+    assert _above(9, 10, ALPHA)[2]
 
 
 def test_beta_comparator():
-    assert compare_with_quadratic(Fraction(91, 100), BETA) == 1
-    assert compare_with_quadratic(Fraction(90, 100), BETA) == -1
-    assert compare_with_quadratic(Fraction(1, 1), BETA) == 1
+    assert _above(91, 100, BETA)[2]
+    assert not _above(90, 100, BETA)[2]
+    assert _above(1, 1, BETA)[2]
 
 
 def test_rational_threshold_can_be_hit_exactly():
     from linespectra.fields import quadratic_field
 
     half = quadratic_field(2).element([Fraction(1, 2), Fraction(0)])
-    assert compare_with_quadratic(Fraction(1, 2), half) == 0
-    assert compare_with_quadratic(Fraction(1, 3), half) == -1
+    assert _above(1, 2, half) == (0, 0, False)
+    # a negative gap squares above d*v^2*n^2 = 0 but is not above
+    assert _above(1, 3, half) == (1, 0, False)
+    assert _above(2, 3, half) == (1, 0, True)
+
+
+def test_the_battery_builds_no_field_element(monkeypatch, get_spectrum):
+    # alpha and beta are read as integers, never multiplied
+    s = get_spectrum("boroczky", 6)
+    calls = []
+    init = FieldElement.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    all_reports(s, real=True)
+    assert len(calls) == 0
 
 
 # --- worked examples with frozen numbers ---
@@ -152,7 +177,7 @@ SAMPLE = [
     ("near_pencil", (12,), True),
     ("two_lines", (6,), True),
     ("grid", (4, 5), True),
-    ("cuspidal_cubic", (5,), True),
+    ("sylvester_cubic", (5,), True),
     ("random", (18, 2), True),
 ]
 
@@ -272,3 +297,79 @@ def test_inconsistent_spectrum_fails_the_identities():
 def test_random_configurations_satisfy_everything(n, seed):
     reps = all_reports(spectrum(random_config(n, seed=seed)), real=True)
     assert violations(reps) == []
+
+
+# --- every report byte, over every gate branch ---
+
+
+def _one_rich_line(n, k):
+    """n points, k of them on one line and every other pair on an ordinary
+    line: it reaches the n < 3, n < 4 and all-collinear reasons."""
+    ell = {k: 1}
+    ordinary = comb(n, 2) - comb(k, 2)
+    if ordinary:
+        ell[2] = ell.get(2, 0) + ordinary
+    return _spectrum_of(n, ell, [n - k + 1] * k + [n - 1] * (n - k))
+
+
+# sha256 of json.dumps of the 580 report lists below, as report_to_json
+# writes them; any change of a verdict, number or reason moves it.
+PINNED_REPORTS = "dd60fb58469d8d5c69090585883e4631f39d97a0a6e6d40b870d8d022f58777c"
+
+
+def test_report_bytes_are_pinned(get_spectrum):
+    spectra = [get_spectrum(name, *params) for name, params in corpus_cases()]
+    spectra += [_one_rich_line(n, k) for n in range(2, 15) for k in range(2, n + 1)]
+    lists = [[report_to_json(r) for r in all_reports(s, real)]
+             for s in spectra for real in (True, False)]
+    assert len(lists) == 580
+    assert hashlib.sha256(json.dumps(lists).encode()).hexdigest() == PINNED_REPORTS
+
+
+# --- the corollaries follow from the theorems on every integer spectrum ---
+
+
+def _integer_spectra(n):
+    """Every {k: l_k} with 2 <= k <= n and sum C(k, 2) l_k = C(n, 2)."""
+    def fill(k, pairs):
+        if k == 2:
+            yield {2: pairs} if pairs else {}
+            return
+        for count in range(pairs // comb(k, 2) + 1):
+            for rest in fill(k - 1, pairs - count * comb(k, 2)):
+                yield {k: count, **rest} if count else rest
+    yield from fill(n, comb(n, 2))
+
+
+def test_theorems_imply_the_corollaries_on_every_integer_spectrum():
+    # a spectrum fixes no degrees, so weak_dirac is left out; the bound it
+    # implies through the average degree, I/n >= (n+3)/3, is checked instead
+    pairs = kept = 0
+    failed = []
+    for n in range(4, 13):
+        for ell in _integer_spectra(n):
+            s = _spectrum_of(n, ell, [0] * n)
+            for real in (True, False):
+                pairs += 1
+                reps = all_reports(s, real)
+                if any(r.applicable and not r.satisfied for r in reps
+                       if r.kind in ("identity", "theorem")):
+                    continue
+                kept += 1
+                failed += [(n, ell, real, r.name) for r in reps
+                           if r.kind == "corollary" and r.name != "weak_dirac"
+                           and r.applicable and not r.satisfied]
+                if by_name(reps)["langer"].applicable:
+                    assert Fraction(s.incidences, n) >= Fraction(n + 3, 3)
+    assert (pairs, kept) == (4930, 2080)
+    assert failed == []
+
+
+@pytest.mark.parametrize("n,ell,tight", [
+    (5, {2: 4, 4: 1}, {"l2l3_majority", "melchior"}),
+    (12, {2: 12, 4: 9}, {"l2l3_majority", "l2l3_at_least_n", "melchior", "langer"}),
+])
+def test_tight_integer_spectra(n, ell, tight):
+    reps = by_name(all_reports(_spectrum_of(n, ell, [0] * n), real=True))
+    for name in tight:
+        assert reps[name].applicable and reps[name].satisfied and reps[name].tight
