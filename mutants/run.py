@@ -28,6 +28,9 @@ from typing import NamedTuple, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 INEQUALITIES = "src/linespectra/inequalities.py"
+PROJECTIVE = "src/linespectra/projective.py"
+SERIALIZATION = "src/linespectra/serialization.py"
+CONSTRUCTIONS = "src/linespectra/constructions.py"
 
 
 class Mutant(NamedTuple):
@@ -67,6 +70,37 @@ MUTANTS = [
            "for holds, reason in hypotheses:",
            "for holds, reason in hypotheses[:1]:",
            ("tests/test_inequalities.py",)),
+    # every int triple over Q is signed here, for the generators, search,
+    # the loader and the kernel's exact key
+    Mutant("_primitive_scalars' sign rule flipped", PROJECTIVE,
+           "if a < 0 or (a == 0 and (b < 0 or (b == 0 and c < 0))):",
+           "if a > 0 or (a == 0 and (b > 0 or (b == 0 and c > 0))):",
+           ("tests/test_projective.py",)),
+    # a key that repeats by collision would count as one line
+    Mutant("_on_line_mod always true", PROJECTIVE,
+           "return not (point[0] * line[0] + point[1] * line[1] + point[2] * line[2]) % modulus",
+           "return True",
+           ("tests/test_projective.py",)),
+    # only when os.fork fails: the caller skips the first stripe it could
+    # not hand out
+    Mutant("a stripe dropped in _forked_tallies' fork-failure fallback", PROJECTIVE,
+           "for w in (0, *range(len(pids) + 1, workers))]",
+           "for w in (0, *range(len(pids) + 2, workers))]",
+           ("tests/test_projective.py",)),
+    Mutant("_merged keeps the larger group count", PROJECTIVE,
+           "group_sizes[size] = group_sizes.get(size, 0) + count",
+           "group_sizes[size] = max(group_sizes.get(size, 0), count)",
+           ("tests/test_projective.py",)),
+    # "p/0" would reach the common denominator as a zero
+    Mutant("_parse_coeff without its nonzero-denominator check", SERIALIZATION,
+           "                if q:\n                    return int(num), q\n",
+           "                return int(num), q\n",
+           ("tests/test_serialization.py",)),
+    # random_config's and search's draw, written out on getrandbits
+    Mutant("_distinct_points keeps an x equal to its bound", CONSTRUCTIONS,
+           "        while x >= bound:",
+           "        while x > bound:",
+           ("tests/test_constructions.py",)),
 ]
 
 

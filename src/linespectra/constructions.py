@@ -2,10 +2,11 @@
 
 Each generator returns a Configuration over the smallest field of the
 supported kinds that represents its coordinates exactly, built from integer
-vectors: int triples over Q, and over Q(zeta_L) sums of power-table rows
-(_powers, _vector).  Where a family has a closed-form line spectrum,
-expected_spectrum returns it (with the small-m bucket merges applied), so
-generated output can be verified without running the spectrum computation.
+vectors: int triples over Q (ProjectivePoint._of_ints), and over Q(zeta_L)
+sums of power-table rows (_powers, _vector).  Where a family has a
+closed-form line spectrum, expected_spectrum returns it (with the small-m
+bucket merges applied), so generated output can be verified without running
+the spectrum computation.
 
 The Boroczky and cubic points are written in the chart of their first
 coordinate, which is rational there, so no point takes a norm.  Division is
@@ -135,37 +136,45 @@ def two_lines(m: int) -> Configuration:
     """2m rational points, m on each coordinate axis: (j, 0) and (0, j) for
     j = 1..m.  Every cross line carries exactly two points."""
     _require(m >= 2, f"two_lines wants m >= 2, got {m}")
-    field = rational_field()
-    pts = [ProjectivePoint((j, 0, 1), field) for j in range(1, m + 1)]
-    pts += [ProjectivePoint((0, j, 1), field) for j in range(1, m + 1)]
+    field, of_ints = rational_field(), ProjectivePoint._of_ints
+    pts = [of_ints(field, j, 0, 1) for j in range(1, m + 1)]
+    pts += [of_ints(field, 0, j, 1) for j in range(1, m + 1)]
     return Configuration(field, tuple(pts), label=f"two_lines(m={m})")
 
 
 def near_pencil(n: int) -> Configuration:
     """n - 1 collinear points (j, 0) for j = 1..n-1 plus the apex (0, 1)."""
     _require(n >= 3, f"near_pencil wants n >= 3, got {n}")
-    field = rational_field()
-    pts = [ProjectivePoint((j, 0, 1), field) for j in range(1, n)]
-    pts.append(ProjectivePoint((0, 1, 1), field))
+    field, of_ints = rational_field(), ProjectivePoint._of_ints
+    pts = [of_ints(field, j, 0, 1) for j in range(1, n)]
+    pts.append(of_ints(field, 0, 1, 1))
     return Configuration(field, tuple(pts), label=f"near_pencil(n={n})")
 
 
 def grid(a: int, b: int) -> Configuration:
     """The a x b integer grid [0, a) x [0, b)."""
     _require(a >= 2 and b >= 2, f"grid wants a, b >= 2, got {a}x{b}")
-    field = rational_field()
-    pts = tuple(
-        ProjectivePoint((x, y, 1), field) for x in range(a) for y in range(b)
-    )
+    field, of_ints = rational_field(), ProjectivePoint._of_ints
+    pts = tuple(of_ints(field, x, y, 1) for x in range(a) for y in range(b))
     return Configuration(field, pts, label=f"grid(a={a},b={b})")
 
 
 def _distinct_points(rng: random.Random, n: int, bound: int) -> List[Tuple[int, int]]:
     """n distinct points (x, y) drawn uniformly from [0, bound)^2 by rng, in
-    the order first drawn; a repeated draw is skipped."""
+    the order first drawn; a repeated draw is skipped.  Each coordinate is
+    rng.randrange(bound) written out on getrandbits, the same values from
+    the same state: k random bits for k the bit length of bound, drawn again
+    until they fall below bound."""
+    getrandbits, k = rng.getrandbits, bound.bit_length()
     pts: Dict[Tuple[int, int], None] = {}
     while len(pts) < n:
-        pts[rng.randrange(bound), rng.randrange(bound)] = None
+        x = getrandbits(k)
+        while x >= bound:
+            x = getrandbits(k)
+        y = getrandbits(k)
+        while y >= bound:
+            y = getrandbits(k)
+        pts[x, y] = None
     return list(pts)
 
 
@@ -178,8 +187,8 @@ def random_config(n: int, seed: int, bound: Optional[int] = None) -> Configurati
         bound = 4 * n
     _require(bound >= 1 and bound * bound >= n,
              f"bound {bound} leaves too little room for {n} distinct points")
-    field = rational_field()
-    pts = tuple(ProjectivePoint((x, y, 1), field)
+    field, of_ints = rational_field(), ProjectivePoint._of_ints
+    pts = tuple(of_ints(field, x, y, 1)
                 for x, y in _distinct_points(random.Random(seed), n, bound))
     return Configuration(
         field, pts, label=f"random(n={n},seed={seed},bound={bound})"

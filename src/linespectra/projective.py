@@ -6,12 +6,12 @@ of the first nonzero coordinate (turning it into its norm, a rational
 integer), then made primitive with that coordinate positive.  Equal
 projective objects have equal forms, so they compare and hash alike, and
 field elements are built only when `coords` is read.  Every package route
-builds its points from integer vectors: a tuple of three ints over Q, as the
-rational generators and loader pass, is made primitive by _primitive_scalars,
-_canonical written out on ints, and every other route hands coefficient
-vectors to _HomogeneousTriple._of_vectors.  line_through is the canonical
-form of a cross product; collinear is the exact vanishing of p . (q x r)
-(_on_line), in integer arithmetic with no screen.
+builds its points from integer vectors: the rational generators, search and
+the loader hand three ints over Q to _HomogeneousTriple._of_ints, which makes
+them primitive by _primitive_scalars, _canonical written out on ints, and
+every other route hands coefficient vectors to _HomogeneousTriple._of_vectors.
+line_through is the canonical form of a cross product; collinear is the exact
+vanishing of p . (q x r) (_on_line), in integer arithmetic with no screen.
 
 Every spanned-line count comes from one kernel, _screened_rows: for each
 point i it keys the later points j > i by the line through i and j, in one
@@ -163,15 +163,15 @@ class _HomogeneousTriple:
 
     def __new__(cls, coords, field: FieldDescriptor | None = None):
         """The triple of `coords` over `field`, or over the coordinates'
-        field if None.  A tuple of three ints (not bools) over Q is made
-        primitive by _primitive_scalars, _canonical in degree 1; every
-        other input is cleared of denominators by _coerce_triple and
-        passed to _of_vectors.  Both give the same form."""
+        field if None.  A tuple of three ints (not bools) over Q goes to
+        _of_ints; every other input is cleared of denominators by
+        _coerce_triple and passed to _of_vectors.  Both give the same
+        form."""
         if (type(coords) is tuple and len(coords) == 3
                 and (field is None or field.kind == RATIONAL)
                 and type(coords[0]) is int and type(coords[1]) is int
                 and type(coords[2]) is int):
-            return cls._of_canonical(field or rational_field(), _primitive_scalars(*coords))
+            return cls._of_ints(field or rational_field(), *coords)
         fld, vecs = _coerce_triple(coords, field)
         if len(vecs) != 3:
             raise GeometryError(f"homogeneous triple wants 3 coordinates, got {len(vecs)}")
@@ -181,6 +181,16 @@ class _HomogeneousTriple:
     def _of_vectors(cls, field: FieldDescriptor, vecs):
         """The triple of a nonzero triple of integer coefficient vectors."""
         return cls._of_canonical(field, _canonical(field, vecs))
+
+    @classmethod
+    def _of_ints(cls, field: FieldDescriptor, a: int, b: int, c: int):
+        """The triple of three ints over Q, made primitive by
+        _primitive_scalars: every package route that holds int triples
+        builds its points here, with no type dispatch per point."""
+        self = object.__new__(cls)
+        _set_field(self, field)
+        _set_intvecs(self, _primitive_scalars(a, b, c))
+        return self
 
     @classmethod
     def _of_canonical(cls, field: FieldDescriptor, vecs):
@@ -324,6 +334,8 @@ def _primitive_scalars(a: int, b: int, c: int):
         raise GeometryError("the zero triple is not projective")
     if a < 0 or (a == 0 and (b < 0 or (b == 0 and c < 0))):
         g = -g
+    if g == 1:
+        return (a,), (b,), (c,)
     return (a // g,), (b // g,), (c // g,)
 
 
@@ -466,7 +478,7 @@ def _keyed_items(config: Configuration):
     line by it."""
     fld = config.field
     if fld.kind == RATIONAL:
-        items = [tuple(v[0] for v in p.intvecs) for p in config.points]
+        items = [(a, b, c) for p in config.points for (a,), (b,), (c,) in [p.intvecs]]
         return items, _primitive_cross, _slope_screen(items)
     items = [p.intvecs for p in config.points]
     return items, lambda u, v: _canonical(fld, _cross(fld, u, v)), _image_screen(config)

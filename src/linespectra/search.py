@@ -48,10 +48,8 @@ def _score(pts: Sequence[Tuple[int, int]], objective: str) -> Tuple[int, int]:
 
 
 def _as_configuration(pts: Sequence[Tuple[int, int]], label: str) -> Configuration:
-    field = rational_field()
-    return Configuration(
-        field, tuple(ProjectivePoint((x, y, 1), field) for x, y in pts), label
-    )
+    field, of_ints = rational_field(), ProjectivePoint._of_ints
+    return Configuration(field, tuple(of_ints(field, x, y, 1) for x, y in pts), label)
 
 
 def _check_objective(kind: str):

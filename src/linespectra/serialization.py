@@ -3,10 +3,10 @@
 JSON is the lossless interchange format; every exact rational is carried as a
 "p/q" (or "p") string so nothing ever rounds.  A configuration's points are
 written from their canonical integer vectors (config_to_json) and read back
-as integer vectors, over Q as int triples (_rational_point) and elsewhere as
-coefficient vectors over one lcm (_point): no field element is built either
-way.  CSV is a flat display-oriented view with decimal approximations,
-clearly labeled as such.
+as integer vectors, over Q as int triples (_rational_point, through
+ProjectivePoint._of_ints) and elsewhere as coefficient vectors over one lcm
+(_point): no field element is built either way.  CSV is a flat
+display-oriented view with decimal approximations, clearly labeled as such.
 """
 
 from __future__ import annotations
@@ -114,10 +114,14 @@ def config_to_json(config: Configuration) -> Dict:
 
 
 def _rational_point_json(vecs) -> list:
-    """The "p/q" literals of a point over Q from its scalar vectors."""
+    """The "p/q" literals of a point over Q from its scalar vectors.  The
+    pivot coordinate, the first nonzero one, is itself over itself: "1"."""
     (a,), (b,), (c,) = vecs
-    pivot = a or b or c
-    return [_coeff_str(a, pivot), _coeff_str(b, pivot), _coeff_str(c, pivot)]
+    if a:
+        return ["1", _coeff_str(b, a), _coeff_str(c, a)]
+    if b:
+        return ["0", "1", _coeff_str(c, b)]
+    return ["0", "0", "1"]
 
 
 def _point_json(vecs) -> list:
@@ -151,12 +155,12 @@ def config_from_json(data) -> Configuration:
 
 def _rational_point(field: FieldDescriptor, triple) -> ProjectivePoint:
     """The point of three rational coordinates: their _parse_coeff pairs
-    over a common denominator, an int triple that ProjectivePoint makes
-    primitive.  The same point as ProjectivePoint of their Fractions, with
-    no Fraction built."""
+    over a common denominator, an int triple for ProjectivePoint._of_ints.
+    The same point as ProjectivePoint of their Fractions, with no Fraction
+    built."""
     (a, p), (b, q), (c, r) = map(_parse_coeff, triple)
     den = math.lcm(p, q, r)
-    return ProjectivePoint((a * (den // p), b * (den // q), c * (den // r)), field)
+    return ProjectivePoint._of_ints(field, a * (den // p), b * (den // q), c * (den // r))
 
 
 def _point(field: FieldDescriptor, triple) -> ProjectivePoint:

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
 from linespectra.constructions import (
     GENERATORS,
     ConstructionError,
+    _distinct_points,
     _over_x_minus_1,
     _vector,
     boroczky,
@@ -39,6 +41,17 @@ def test_closed_form_matches_computed_spectrum(name, params, get_spectrum):
     assert expected is not None
     s = get_spectrum(name, *params.values())
     assert s.ell == expected
+
+
+@pytest.mark.parametrize("m", range(3, 41))
+def test_boroczky_meets_the_incidence_formula_at_cap_n_over_2(m):
+    # Böröczky's sets of n = 2m points: I = 3n^2/8 + 3n/4 incidences with at
+    # most n/2 points on a line, the frontier of the (3/8) n^2 conjecture
+    n = 2 * m
+    ell = expected_spectrum("boroczky", m=m)
+    assert sum(k * (k - 1) // 2 * c for k, c in ell.items()) == n * (n - 1) // 2
+    assert 8 * sum(k * c for k, c in ell.items()) == 3 * n * n + 6 * n
+    assert max(ell) == n // 2
 
 
 def test_expected_spectrum_unavailable_for_irregular_families():
@@ -149,6 +162,20 @@ def test_random_config_is_deterministic():
     assert a.points == b.points
     c = random_config(20, seed=6)
     assert a.points != c.points
+
+
+@pytest.mark.parametrize("n, bound", [(1, 1), (4, 2), (9, 3), (30, 8), (50, 9), (300, 1200),
+                                      (3000, 12000), (40, 2 ** 70 + 3)])
+def test_distinct_points_are_the_randrange_draws(n, bound):
+    # the same points, in the same order, as two randrange(bound) calls per
+    # draw, and the generator left in the same state
+    for seed in range(5):
+        rng, reference = random.Random(seed), random.Random(seed)
+        want = {}
+        while len(want) < n:
+            want[reference.randrange(bound), reference.randrange(bound)] = None
+        assert _distinct_points(rng, n, bound) == list(want)
+        assert rng.getstate() == reference.getstate()
 
 
 def test_random_config_respects_bound():

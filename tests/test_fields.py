@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -19,6 +21,7 @@ from linespectra import (
 from linespectra import projective
 from linespectra.constructions import boroczky, fermat, random_config, sylvester_cubic
 from linespectra.fields import (
+    QUADRATIC,
     _adjugate,
     _factorize,
     _galois,
@@ -348,6 +351,67 @@ def test_field_axioms_randomized(field):
         assert a + b == b + a and a * b == b * a
         if not a.is_zero():
             assert a * a.inverse() == one
+
+
+def _quadratic_inverse(field, x):
+    # (p + q sqrt d)^-1 = (p - q sqrt d) / (p^2 - d q^2)
+    p, q = x.coeffs
+    norm = p * p - field.d * q * q
+    return field.element([p / norm, -q / norm])
+
+
+@pytest.mark.parametrize("field", [
+    Q, quadratic_field(2), quadratic_field(-3), quadratic_field(5),
+    cyclotomic_field(5), Q12, cyclotomic_field(7),
+], ids=str)
+def test_reflected_operators_and_negative_powers_are_exact(field):
+    # int - x, int / x and x ** -k, checked coefficient by coefficient over
+    # Q, by the closed-form inverse over Q(sqrt d), and everywhere against
+    # products, which the sympy test checks over Q(zeta_N)
+    rng = random.Random(7 + field.degree)
+    one = field.one()
+    for _ in range(200):
+        x = _random_element(rng, field)
+        k = rng.randint(-9, 9)
+        r = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        for s in (k, r):
+            diff = s - x
+            assert diff.coeffs == (s - x.coeffs[0], *(-c for c in x.coeffs[1:]))
+            assert diff + x == s
+        if x.is_zero():
+            for s in (k, r):
+                with pytest.raises(ZeroDivisionError):
+                    s / x
+            with pytest.raises(ZeroDivisionError):
+                x ** -1
+            continue
+        e = rng.randint(1, 4)
+        inverse = x ** -1
+        assert inverse * x == one
+        assert k / x == k * inverse and r / x == r * inverse
+        assert (k / x) * x == k
+        assert x ** -e == functools.reduce(operator.mul, [inverse] * e)
+        assert x ** -e * x ** e == one
+        if field.degree == 1:
+            assert inverse.coeffs == (1 / x.coeffs[0],)
+            assert (k / x).coeffs == (k / x.coeffs[0],)
+            assert (x ** -e).coeffs == (x.coeffs[0] ** -e,)
+        elif field.kind == QUADRATIC:
+            assert inverse == _quadratic_inverse(field, x)
+            assert r / x == r * _quadratic_inverse(field, x)
+
+
+@pytest.mark.parametrize("field", [Q, quadratic_field(2), cyclotomic_field(5)], ids=str)
+@pytest.mark.parametrize("other", ["2", None, 0.5, [1], object()], ids=repr)
+def test_an_operand_that_is_not_an_exact_number_raises_type_error(field, other):
+    x = field.element([Fraction(1, 2)] + [1] * (field.degree - 1))
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+    with pytest.raises(TypeError):
+        x ** other
 
 
 _small_fracs = st.fractions(

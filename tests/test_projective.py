@@ -166,6 +166,33 @@ def test_int_triples_are_the_points_of_their_fractions(triple, field):
     assert hash(got) == hash(want) and got == want
 
 
+_scaled_triple = st.builds(
+    lambda t, k: tuple(k * x for x in t),
+    st.tuples(*[st.sampled_from([0, 0, 1, -1]) | _int] * 3),
+    st.sampled_from([1, -1]) | st.integers(-12, 12).filter(bool) | st.integers(-2 ** 70, 2 ** 70))
+
+
+@given(_scaled_triple)
+def test_of_ints_is_the_point_of_every_route(triple):
+    # negative, zero and non-primitive entries: the int entry gives the
+    # point of ProjectivePoint, of its Fractions and of _canonical
+    a, b, c = triple
+    if not any(triple):
+        for make in (lambda: ProjectivePoint._of_ints(Q, a, b, c),
+                     lambda: ProjectivePoint(triple, Q), lambda: ProjectivePoint(list(triple))):
+            with pytest.raises(GeometryError, match="^the zero triple is not projective$"):
+                make()
+        return
+    got = ProjectivePoint._of_ints(Q, a, b, c)
+    wants = [ProjectivePoint(triple, Q), ProjectivePoint([Fraction(x) for x in triple]),
+             ProjectivePoint._of_vectors(Q, ((a,), (b,), (c,)))]
+    for want in wants:
+        assert type(got) is type(want) is ProjectivePoint
+        assert got == want and hash(got) == hash(want) and got.intvecs == want.intvecs
+    assert got.field == Q and math.gcd(a, b, c) * got.intvecs[0][0] in (a, -a)
+    assert next(x for (x,) in got.intvecs if x) > 0
+
+
 def test_int_triples_keep_their_field_and_the_zero_error():
     # ints over an extension field still take the generic route
     for fld in (Q2, Z5):

@@ -3,12 +3,17 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import linespectra
 from linespectra.cli import main
 from linespectra import fields, projective
 from linespectra.constructions import boroczky, fermat, grid, random_config, sylvester_cubic
@@ -465,6 +470,37 @@ def test_rational_load_errors_are_the_fraction_routes(tmp_path, capsys, name):
         assert main([command, str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+
+BAD_FILES = {
+    "not-json": ('{"field": {"kind": "rational"}, "points": [', "is not valid JSON"),
+    "json-array": ('[["1", "0", "1"], ["0", "1", "1"]]', "configuration must be a JSON object"),
+    "field-not-an-object": ('{"field": "rational", "points": [["1", "0", "1"]]}',
+                            "field must be an object with a 'kind'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FILES))
+def test_unreadable_configuration_files_exit_1_with_one_error_line(tmp_path, capsys, name):
+    text, message = BAD_FILES[name]
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SerializationError, match=message):
+        load_configuration(str(path))
+    for command in ("analyze", "check"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+    src = str(Path(linespectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-m", "linespectra", "analyze", str(path)],
+                           capture_output=True, text=True, env=env)
+    assert child.returncode == 1 and child.stdout == ""
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+    assert "Traceback" not in child.stderr
 
 
 def test_spectrum_json_shape():
