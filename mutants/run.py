@@ -87,6 +87,28 @@ MUTANTS = [
            "for w in (0, *range(len(pids) + 1, workers))]",
            "for w in (0, *range(len(pids) + 2, workers))]",
            ("tests/test_projective.py",)),
+    # sheared affine keys certified by no one past L = 65,535, where distinct
+    # slopes can round to one double (L = 100,000 is inside both)
+    Mutant("injectivity bound raised x4", PROJECTIVE,
+           "_INJECTIVE_LIMIT = 2 ** 51",
+           "_INJECTIVE_LIMIT = 2 ** 53",
+           ("tests/test_projective.py",)),
+    Mutant("injectivity bound raised x16", PROJECTIVE,
+           "_INJECTIVE_LIMIT = 2 ** 51",
+           "_INJECTIVE_LIMIT = 2 ** 55",
+           ("tests/test_projective.py",)),
+    # the key after each repeat is never removed, so a third member right
+    # after the second raises no KeyError
+    Mutant("_counted_row's removal scan resumes one key late", PROJECTIVE,
+           "                j = i + size - operator.length_hint(rest)\n",
+           "                j = i + size - operator.length_hint(rest)\n"
+           "                next(rest, None)\n",
+           ("tests/test_projective.py",)),
+    # lines (0 : 1 : c) and (1 : 1 : c) would share a key mod p
+    Mutant("_image_screen's row key loses its x flag", PROJECTIVE,
+           "return [(x and 1, y * inv % prime, z * inv % prime)",
+           "return [(1, y * inv % prime, z * inv % prime)",
+           ("tests/test_projective.py",)),
     Mutant("_merged keeps the larger group count", PROJECTIVE,
            "group_sizes[size] = group_sizes.get(size, 0) + count",
            "group_sizes[size] = max(group_sizes.get(size, 0), count)",

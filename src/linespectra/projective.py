@@ -22,13 +22,17 @@ every point has z = +-1 and L (2 L + 2) < 2**52 for L the largest
 |coordinate| (_affine_slopes), and in the affine chart of point i
 otherwise (_projective_slopes).  Over Q(sqrt d) and Q(zeta_N) the key is
 the line's image in P^2(GF(p)), scaled with one modular inverse per row
-(_image_screen, _inverses).  Either is only a hash key: a row whose keys
-are all distinct holds only 2-point lines, which is exact, and every key
-that repeats is certified exactly before it counts, the same way over every
-field.  A row with a failed certificate, or one the screen cannot key (over
-Q, a row point with z = 0 or a slope too large for a double; elsewhere, a
-vanishing image mod p), is keyed again by the exact canonical form (over Q,
-_primitive_cross on scalar triples).  No float reaches a count.
+(_image_screen, _inverses).  Each row is hashed once, into the set of its
+keys (_counted_row).  A row whose keys are all distinct holds only 2-point
+lines, which is exact.  On sheared affine points with L <= 65,535 the slope
+keys are injective, 8 L**2 (L + 1) < 2**51 (_slope_screen), so a repeated
+key is an exact line; on every other route the key is only a hash key, and
+every key that repeats is certified exactly before it counts, the same way
+over every field.  A row with a failed certificate, or one the screen cannot
+key (over Q, a row point with z = 0 or a slope too large for a double;
+elsewhere, a vanishing image mod p), is keyed again by the exact canonical
+form (over Q, _primitive_cross on scalar triples).  No float reaches a
+count.
 _tally_rows reduces any set of rows to an O(n) tally, a group-size
 histogram and degree deltas, and _fold_rows turns the tally of every row
 into line counts and degrees and checks them.  _serial_spectrum counts
@@ -272,12 +276,12 @@ class Configuration(namedtuple("Configuration", "field points label")):
     __slots__ = ()
 
     def __new__(cls, field: FieldDescriptor, points, label: str = ""):
-        if not points:
-            raise GeometryError("a configuration needs at least one point")
         pts = tuple(
             p if isinstance(p, ProjectivePoint) else ProjectivePoint(p, field)
             for p in points
         )
+        if not pts:
+            raise GeometryError("a configuration needs at least one point")
         for p in pts:
             if p.field != field:
                 raise FieldMismatchError("configuration points must share its field")
@@ -345,9 +349,11 @@ def _primitive_cross(u, v):
                               u[0] * v[1] - u[1] * v[0])
 
 
-# Sheared affine coordinates stay below this bound, so slope keys are exact:
-# see _slope_screen.
+# Sheared affine coordinates stay below this bound, so slope keys are exact,
+# and while 8 L**2 (L + 1) stays below the second, distinct slopes get
+# distinct keys: see _slope_screen.
 _AFFINE_LIMIT = 2 ** 52
+_INJECTIVE_LIMIT = 2 ** 51
 
 
 def _affine_slopes(points, i):
@@ -402,15 +408,29 @@ def _slope_screen(items):
     infinity, a point with a fractional affine coordinate (its primitive z
     is not +-1) or a larger L, keeps the projective formula
     (_projective_slopes), and its rows through a point with z = 0 or with a
-    slope too large for a double get None: they take the exact key.  The
-    certificate triples are the items: each of a determinant's six terms
-    takes one entry per column, so the modulus is 6 * 2**104 on the affine
-    route and 6 L**3 + 1 otherwise."""
+    slope too large for a double get None: they take the exact key.
+
+    On the affine route with 8 L**2 (L + 1) < 2**51, that is L <= 65,535,
+    the keys are injective and the modulus is None: a repeated key is an
+    exact line and needs no certificate.  A key is the double nearest
+    a / b, for integers a = dY and b = dX with |a| <= 2 L and
+    1 <= |b| <= 2 max |X| <= 4 L (L + 1).  A distinct slope c / d through
+    the same point differs from it by at least 1 / |b d|.  If both rounded
+    to one double f, each would lie within 2**-53 |f| of f, so they would
+    differ by at most 2**-52 |f| <= 2**-52 |a / b| / (1 - 2**-53), which
+    forces |a d| > 2**51, while |a d| <= 8 L**2 (L + 1).  (A slope 0 / b
+    rounds to 0.0 and a nonzero one, at least 1 / (4 L (L + 1)) in
+    magnitude, never does.)  The projective route and larger affine inputs
+    keep the certificate.  Its triples are the items: each of a
+    determinant's six terms takes one entry per column, so the modulus is
+    6 * 2**104 on the affine route and 6 L**3 + 1 otherwise."""
     bound = max(map(abs, chain.from_iterable(items)))
     if bound * (2 * bound + 2) < _AFFINE_LIMIT and all(z in (1, -1) for _, _, z in items):
         t = 2 * bound + 1
         points = [(float((x + t * y) * z), float(y * z)) for x, y, z in items]
-        return partial(_affine_slopes, points), items, 6 * _AFFINE_LIMIT ** 2
+        injective = 8 * bound ** 2 * (bound + 1) < _INJECTIVE_LIMIT
+        return (partial(_affine_slopes, points), items,
+                None if injective else 6 * _AFFINE_LIMIT ** 2)
     return partial(_projective_slopes, items), items, 6 * bound ** 3 + 1
 
 
@@ -484,17 +504,47 @@ def _keyed_items(config: Configuration):
     return items, lambda u, v: _canonical(fld, _cross(fld, u, v)), _image_screen(config)
 
 
+# A row in which at most one key in this many repeats finds its repeats by
+# removal from its set (_counted_row).  Each repeat costs an exception and
+# an index scan there, so a row with more repeats takes the dict pass.
+_FEW_REPEATS = 128
+
+
 def _counted_row(i, keys):
     """The number of distinct keys in a row and the ascending members j > i
-    of each repeated key, for keys[j - i - 1] the key of the pair (i, j).
-    A row whose keys are all distinct, as set() counts them, holds only
-    2-point lines: it collects no members.  Otherwise one pass records each
-    key's first index and starts a group only when that key repeats."""
-    distinct = len(set(keys))
-    if distinct == len(keys):
+    of each repeated key, for keys[j - i - 1] the key of the pair (i, j),
+    the groups in the order of their second members.
+
+    The row is hashed once, into the set of its keys.  A row whose keys are
+    all distinct holds only 2-point lines: it collects no members.  In a
+    row with few repeats, at most len(keys) / _FEW_REPEATS, the keys are
+    removed from that set in order at C level: a KeyError names a key met
+    before, at the position the scan has reached, where the scan then goes
+    on.  A new repeated key's first member is found by list.index.  Each
+    repeat costs an exception and an index scan, so a row with more repeats
+    (a grid's rows) records each key's first index in one dict pass and
+    starts a group only when that key repeats."""
+    seen = set(keys)
+    distinct = len(seen)
+    size = len(keys)
+    if distinct == size:
         return distinct, []
-    first: Dict = {}
     groups: Dict = {}
+    if (size - distinct) * _FEW_REPEATS <= size:
+        remove, rest = seen.remove, iter(keys)
+        while True:
+            try:
+                any(map(remove, rest))
+                return distinct, list(groups.values())
+            except KeyError as repeated:
+                key = repeated.args[0]
+                j = i + size - operator.length_hint(rest)
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [i + 1 + keys.index(key), j]
+                else:
+                    group.append(j)
+    first: Dict = {}
     for j, key in enumerate(keys, i + 1):
         k = first.setdefault(key, j)
         if k != j:
@@ -513,13 +563,16 @@ def _screened_rows(items, exact_key, screen, stripe):
     ascending indices j > i of the later items on each such line that holds
     two or more of them.
 
-    The row is keyed by `screen` = (row_keys, triples, modulus).  The
-    screened key is only a hash key: every repeated key is certified before
-    it counts, the same way over every field.  With line the _scalar_cross
-    of triples[i] and the group's first member's triples, each further
-    member j must pass _on_line_mod(triples[j], line, modulus).  Its dot
-    product is the determinant of the three points over Q, and its
-    evaluation mod m elsewhere; the modulus exceeds every nonzero determinant's norm, so the
+    The row is keyed by `screen` = (row_keys, triples, modulus).  With
+    modulus None the keys are injective (_slope_screen's sheared affine
+    slopes for L <= 65,535), so each repeated key is an exact line and
+    counts as it is.  Otherwise the screened key is only a hash key: every
+    repeated key is certified before it counts, the same way over every
+    field.  With line the _scalar_cross of triples[i] and the group's first
+    member's triples, each further member j must pass
+    _on_line_mod(triples[j], line, modulus).  Its dot product is the
+    determinant of the three points over Q, and its evaluation mod m
+    elsewhere; the modulus exceeds every nonzero determinant's norm, so the
     test is exact incidence.  A key that repeats by collision fails there,
     and the row is keyed again with exact_key, as is a row the screen gives
     None.  A key that does not repeat needs no certificate, since the
@@ -536,7 +589,8 @@ def _screened_rows(items, exact_key, screen, stripe):
         keys = row_keys(i)
         if keys is not None:
             distinct, groups = _counted_row(i, keys)
-            if groups and not all(certified(i, group) for group in groups):
+            if groups and modulus is not None and not all(
+                    certified(i, group) for group in groups):
                 keys = None
         if keys is None:
             distinct, groups = _counted_row(i, [exact_key(items[i], v) for v in items[i + 1:]])

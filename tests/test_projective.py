@@ -453,6 +453,19 @@ def _affine_collision():
     return cfg((0, 0, 1), (3, 1048577, 1), (1, 349526, 1), (AFFINE_MAX, 0, 1))
 
 
+# the largest L with 8 L**2 (L + 1) < 2**51: sheared affine slope keys are
+# injective up to it, see projective._slope_screen
+INJECTIVE_MAX = 65535
+
+
+def _sheared_collision():
+    # with L = 100,000 and t = 2 L + 1, the sheared slopes from (-L, -L) of
+    # the next two points, 2 L / (1 + 2 L t) and (2 L - 1) / (1 + (2 L - 1) t),
+    # round to one double: past the injective regime (L <= 65,535) an affine
+    # row still fails certification
+    return cfg((-100000, -100000, 1), (-99999, 100000, 1), (-99999, 99999, 1))
+
+
 def _near_affine_limit(m):
     # a grid and far points on its lines, with coordinates up to m: the
     # affine slope keys take m = AFFINE_MAX and leave m = AFFINE_MAX + 1 alone
@@ -470,6 +483,7 @@ ORACLE_CASES = {
     "Q-at-infinity": _at_infinity,
     "Q-double-collision": _double_collision,
     "Q-affine-collision": _affine_collision,
+    "Q-sheared-collision": _sheared_collision,
     "Q-projective-collision": _projective_collision,
     "Q-affine-below-limit": lambda: _near_affine_limit(AFFINE_MAX),
     "Q-affine-at-limit": lambda: _near_affine_limit(AFFINE_MAX + 1),
@@ -543,10 +557,16 @@ def test_saved_file_is_the_indented_json_of_config_json(tmp_path, name):
 
 
 def test_rational_inputs_of_benchmark_size_never_fall_back_to_exact_keys(monkeypatch):
-    # the slope screen keys every row of these inputs: no repeated key fails
-    # its certificate, and no row is keyed again by _primitive_cross
-    configs = [random_config(300, seed) for seed in (1, 5, 201)]
-    configs += [grid(20, 20), random_config(2200, 5)]
+    # the slope screen keys every row of these inputs, and no row is keyed
+    # again by _primitive_cross.  Inside the injective regime (L <= 65,535)
+    # no repeated key is certified at all.  A coordinate bound of 70,000
+    # keeps the affine route but leaves the regime, so its repeated keys
+    # are certified, and none fails.  random_config(300, s, bound=70_000)
+    # has no three collinear points, so grid(20, 20) joins it
+    inside = [random_config(300, seed) for seed in (1, 5, 201)]
+    inside += [grid(20, 20), random_config(2200, 5)]
+    outside = [Configuration(Q, random_config(300, seed, bound=70_000).points
+                             + grid(20, 20).points) for seed in (1, 5)]
     calls = Counter()
     primitive_cross, on_line_mod = projective._primitive_cross, projective._on_line_mod
 
@@ -562,7 +582,11 @@ def test_rational_inputs_of_benchmark_size_never_fall_back_to_exact_keys(monkeyp
 
     monkeypatch.setattr(projective, "_primitive_cross", counting_primitive_cross)
     monkeypatch.setattr(projective, "_on_line_mod", counting_on_line_mod)
-    for config in configs:
+    for config in inside:
+        spectrum(config)
+    assert calls == {}
+    for config in outside:
+        assert projective._keyed_items(config)[2][0].func is projective._affine_slopes
         spectrum(config)
     assert calls["exact"] == 0 and calls["failed"] == 0
     assert calls["certified"] > 0
@@ -865,11 +889,15 @@ def test_certificate_agrees_with_exact_incidence(fld, collinear_third, data):
     # first two, on the screen's triples and modulus, is _on_line(_cross),
     # on random triples and on w = alpha u + beta v.  Over Q, affine points
     # with coordinates at +-AFFINE_MAX keep the affine route, and
-    # coordinates at +-2**60 take the projective one
+    # coordinates at +-2**60 take the projective one.  Affine points with
+    # L <= INJECTIVE_MAX get no modulus: there the third point's slope key
+    # in the first point's row equals the second's exactly when the three
+    # are collinear
     affine = fld == Q and data.draw(st.booleans())
     coeff = st.integers(-3, 3) | st.integers(-2**12, 2**12)
     if fld == Q:
-        coeff |= st.sampled_from([AFFINE_MAX, -AFFINE_MAX] if affine else [2**60, -2**60])
+        coeff |= st.sampled_from([AFFINE_MAX, -AFFINE_MAX, INJECTIVE_MAX, -INJECTIVE_MAX - 1]
+                                 if affine else [2**60, -2**60])
 
     def element():
         return fld.element(data.draw(st.lists(coeff, min_size=fld.degree,
@@ -890,19 +918,25 @@ def test_certificate_agrees_with_exact_incidence(fld, collinear_third, data):
     assume(all(any(t) for t in (u, v, w)))
     points = [ProjectivePoint(t, fld) for t in (u, v, w)]
     assume(len(set(points)) == 3)
-    _, _, (_, triples, modulus) = projective._keyed_items(Configuration(fld, tuple(points)))
+    _, _, (row_keys, triples, modulus) = projective._keyed_items(
+        Configuration(fld, tuple(points)))
     pu, pv, pw = (p.intvecs for p in points)
-    assert modulus > _det_bound(fld, [pu, pv, pw])
+    exact = projective._on_line(fld, pw, projective._cross(fld, pu, pv))
+    if collinear_third:
+        assert exact
     if fld == Q:
         bound = max(abs(c) for p in (pu, pv, pw) for (c,) in p)
         on_affine_route = (bound * (2 * bound + 2) < 2**52
                            and all(z in (1, -1) for _, _, (z,) in (pu, pv, pw)))
+        if on_affine_route and bound <= INJECTIVE_MAX:
+            assert modulus is None
+            keys = row_keys(0)
+            assert (keys[0] == keys[1]) == exact
+            return
         assert (modulus == 6 * 2**104) == on_affine_route
-    exact = projective._on_line(fld, pw, projective._cross(fld, pu, pv))
+    assert modulus > _det_bound(fld, [pu, pv, pw])
     line = projective._scalar_cross(triples[0], triples[1])
     assert projective._on_line_mod(triples[2], line, modulus) == exact
-    if collinear_third:
-        assert exact
 
 
 def test_spectrum_over_q_slope_screen_matches_oracle_lines(monkeypatch):
@@ -925,6 +959,7 @@ def test_slope_screen_keys_affine_inputs_by_affine_slopes(monkeypatch):
         monkeypatch.setattr(projective, name, counting)
     formulas = {
         "Q-affine-collision": "_affine_slopes",
+        "Q-sheared-collision": "_affine_slopes",
         "Q-affine-below-limit": "_affine_slopes",
         "Q-random": "_affine_slopes",
         "Q-affine-at-limit": "_projective_slopes",
@@ -978,6 +1013,107 @@ def test_affine_keys_spread_over_a_sets_slots():
     for i in range(50):
         distinct = set(row_keys(i))
         assert len({hash(key) & 4095 for key in distinct}) >= 0.8 * len(distinct), i
+
+
+def _nearest_slopes(L):
+    # three affine points with coordinates in [-L, L]: from the first, the
+    # sheared slopes (t = 2 L + 1) of the other two are a / b and c / d with
+    # a = dy_j, b = dx_j + t a, c = dy_k, d = dx_k + t c, |a d - c b| = 1 and
+    # |b|, |d| up to 4 L (L + 1): two distinct slopes about as near each
+    # other as coordinates up to L allow
+    for a in range(2 * L, L, -1):
+        for c in range(a - 1, a - 20, -1):
+            if math.gcd(a, c) == 1:
+                for sign in (1, -1):
+                    dx_k = sign * pow(a, -1, c) % c
+                    dx_j = (a * dx_k - sign) // c
+                    yield [(-L, -L, 1), (dx_j - L, a - L, 1), (dx_k - L, c - L, 1)]
+
+
+def test_sheared_slope_keys_are_injective_up_to_injective_max():
+    # at L = INJECTIVE_MAX the two slopes of each row get two keys and the
+    # screen hands no modulus; one more unit of L brings the certificate
+    # back, and at L = 100,000 the same construction makes keys collide
+    for items in itertools.islice(_nearest_slopes(INJECTIVE_MAX), 3000):
+        row_keys, _, modulus = projective._slope_screen(items)
+        assert row_keys.func is projective._affine_slopes and modulus is None
+        first, second = row_keys(0)
+        assert first != second, items
+    for L in (INJECTIVE_MAX + 1, 100_000):
+        rows = list(itertools.islice(_nearest_slopes(L), 3000))
+        screens = [projective._slope_screen(items) for items in rows]
+        assert all(modulus == 6 * 2**104 for _, _, modulus in screens)
+        collisions = sum(len(set(row_keys(0))) == 1 for row_keys, _, _ in screens)
+        assert (collisions > 0) == (L == 100_000)
+
+
+def _dict_pass_row(i, keys):
+    # the first-index dict pass that counted every row with a repeat before
+    # _counted_row hashed each row once: the reference for it
+    distinct = len(set(keys))
+    if distinct == len(keys):
+        return distinct, []
+    first, groups = {}, {}
+    for j, key in enumerate(keys, i + 1):
+        k = first.setdefault(key, j)
+        if k != j:
+            groups.setdefault(k, [k]).append(j)
+    return distinct, list(groups.values())
+
+
+ROW_KEYS = {
+    "float": st.sampled_from([0.0, -0.0, math.inf, -math.inf]) | st.floats(allow_nan=False),
+    "int": st.integers(-3, 3) | st.integers(-2**70, 2**70),
+    "tuple": st.tuples(st.integers(0, 1), st.integers(0, 3), st.integers(0, 2**30)),
+}
+ROW_KEYS["mixed"] = st.one_of(*ROW_KEYS.values())
+
+
+def _fresh_keys(kind, count, taken):
+    # count keys of the kind that are distinct from each other and from taken
+    make = {"float": lambda k: 1.5 + k / 1024, "int": lambda k: 2**80 + k,
+            "tuple": lambda k: (2, k, k), "mixed": lambda k: (2, k, k)}[kind]
+    keys = (make(k) for k in itertools.count())
+    return list(itertools.islice((key for key in keys if key not in taken), count))
+
+
+@settings(deadline=None, max_examples=300)
+@given(kind=st.sampled_from(sorted(ROW_KEYS)), side=st.sampled_from(["few", "many", "free"]),
+       data=st.data())
+def test_counted_row_matches_the_dict_pass(kind, side, data):
+    # a core drawn from a few keys, so runs of equal keys and interleaved
+    # groups of two or more members, inside distinct filler keys.  "few"
+    # sizes the row so its repeats are exactly len / _FEW_REPEATS, the
+    # removal scan's largest share, and "many" makes it one key shorter,
+    # which takes the dict pass; "free" adds any number of filler keys
+    pool = data.draw(st.lists(ROW_KEYS[kind], min_size=1, max_size=5))
+    core = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    repeats = len(core) - len(set(core))
+    few = repeats * projective._FEW_REPEATS
+    size = {"few": few, "many": few - 1, "free": len(core) + data.draw(st.integers(0, 300))}[side]
+    filler = _fresh_keys(kind, max(size - len(core), 0), set(core))
+    cut = data.draw(st.integers(0, len(filler)))
+    keys = filler[:cut] + core + filler[cut:]
+    i = data.draw(st.integers(0, 5))
+    assert projective._counted_row(i, keys) == _dict_pass_row(i, keys)
+
+
+@pytest.mark.parametrize("pattern", ["", "a", "aa", "aaa", "aaaa", "aba", "abab", "aabb",
+                                     "abba", "abcabc", "aaabbb", "abacada"])
+@pytest.mark.parametrize("shortfall", [0, 1])
+def test_counted_row_groups_runs_at_the_threshold(pattern, shortfall):
+    # runs of one key (a third member right after the second) and groups
+    # that interleave, in rows at the removal scan's largest share of
+    # repeats and one key shorter, which take the dict pass
+    repeats = len(pattern) - len(set(pattern))
+    size = max(repeats * projective._FEW_REPEATS - shortfall, len(pattern))
+    for kind in ("float", "tuple"):
+        named = dict(zip("abcd", _fresh_keys(kind, 4, set())))
+        core = [named[c] for c in pattern]
+        filler = _fresh_keys(kind, size - len(core), set(core))
+        for cut in (0, len(filler) // 2, len(filler)):
+            keys = filler[:cut] + core + filler[cut:]
+            assert projective._counted_row(3, keys) == _dict_pass_row(3, keys), (pattern, cut)
 
 
 @settings(deadline=None, max_examples=40)
@@ -1185,6 +1321,11 @@ def test_float_coordinates_are_refused(field, coords):
 def test_empty_configuration_rejected():
     with pytest.raises(GeometryError):
         Configuration(Q, ())
+    # a generator is truthy before it runs: the check reads the built points
+    with pytest.raises(GeometryError, match="at least one point"):
+        Configuration(Q, (p for p in []))
+    config = Configuration(Q, (p for p in [(1, 2, 3)]))
+    assert config.n == 1 and spectrum(config).total_lines == 0
 
 
 @settings(deadline=None, max_examples=60)
