@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+FIELDS = "src/linespectra/fields.py"
 INEQUALITIES = "src/linespectra/inequalities.py"
 PROJECTIVE = "src/linespectra/projective.py"
 SERIALIZATION = "src/linespectra/serialization.py"
@@ -118,6 +119,49 @@ MUTANTS = [
            "                if q:\n                    return int(num), q\n",
            "                return int(num), q\n",
            ("tests/test_serialization.py",)),
+    # the certificate modulus below (6 L^3)^deg: a determinant can vanish mod
+    # m without vanishing
+    Mutant("_evaluation's r too small over Q(sqrt d)", FIELDS,
+           "r = 6 * bound ** 3 + s + 1",
+           "r = bound ** 3 + s + 1",
+           ("tests/test_projective.py",)),
+    Mutant("_evaluation's r too small over Q(zeta_N)", FIELDS,
+           "r = 6 * bound ** 3 + 2",
+           "r = bound ** 3 + 2",
+           ("tests/test_projective.py",)),
+    # the row keys of _image_screen scale each cross product by these
+    Mutant("_inverses' first inverse doubled", PROJECTIVE,
+           "    out[0] = inv\n",
+           "    out[0] = inv * 2 % p\n",
+           ("tests/test_projective.py",)),
+    Mutant("_inverses' prefix products over the reversed pivots", PROJECTIVE,
+           "prefix = list(accumulate(values, lambda a, b: a * b % p))",
+           "prefix = list(accumulate(values[::-1], lambda a, b: a * b % p))",
+           ("tests/test_projective.py",)),
+    Mutant("Configuration.is_real always true", PROJECTIVE,
+           "return fld.is_real() or all(",
+           "return True or all(",
+           ("tests/test_projective.py",)),
+    # every step of _unit_tower with o > 2 loses its last conjugate
+    Mutant("_adjugate drops the last conjugate of each step", FIELDS,
+           "for j in range(2, o):",
+           "for j in range(2, o - 1):",
+           ("tests/test_fields.py",)),
+    # powers zeta^k with k >= N are no longer reduced mod N
+    Mutant("_zeta_sum takes a wrong power row", FIELDS,
+           "for i, r in enumerate(rows[k % N]):",
+           "for i, r in enumerate(rows[min(k, N - 1)]):",
+           ("tests/test_fields.py",)),
+    Mutant("_over_x_minus_1 weights zeta^(e j) by j + 1", CONSTRUCTIONS,
+           "return [(c + e * j, scale * j) for j in range(1, M)]",
+           "return [(c + e * j, scale * (j + 1)) for j in range(1, M)]",
+           ("tests/test_constructions.py",)),
+    # fermat(3), boroczky(3), two_lines(2) and near_pencil(3) each have two
+    # kinds of line of one size
+    Mutant("expected_spectrum keeps the last count of a size", CONSTRUCTIONS,
+           "spectrum[size] = spectrum.get(size, 0) + count",
+           "spectrum[size] = count",
+           ("tests/test_constructions.py",)),
     # random_config's and search's draw, written out on getrandbits
     Mutant("_distinct_points keeps an x equal to its bound", CONSTRUCTIONS,
            "        while x >= bound:",

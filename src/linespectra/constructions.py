@@ -3,16 +3,19 @@
 Each generator returns a Configuration over the smallest field of the
 supported kinds that represents its coordinates exactly, built from integer
 vectors: int triples over Q (ProjectivePoint._of_ints), and over Q(zeta_L)
-sums of power-table rows (_powers, _vector).  Where a family has a
-closed-form line spectrum, expected_spectrum returns it (with the small-m
-bucket merges applied), so generated output can be verified without running
-the spectrum computation.
+sums of powers of zeta, each written as a vector by fields._zeta_sum.  Where
+a family has a closed-form line spectrum, expected_spectrum returns it, so
+generated output can be verified without running the spectrum computation.
+Each closed form is a list of (line size, count) pairs, one per kind of
+line; expected_spectrum adds the counts of pairs that name one size (at
+small parameters two kinds of line can have the same size) and drops zero
+counts.
 
 The Boroczky and cubic points are written in the chart of their first
 coordinate, which is rational there, so no point takes a norm.  Division is
 by x - 1, x = zeta^e of order M > 1: 1 + x + ... + x^(M-1) = 0 gives
 (x - 1) sum_{j<M} j x^j = (M - 1) x^M - (x + ... + x^(M-1)) = M,
-so M / (x - 1) = sum_{j<M} j x^j, a sum of rows (_over_x_minus_1).
+so M / (x - 1) = sum_{j<M} j x^j, a sum of powers (_over_x_minus_1).
 """
 
 from __future__ import annotations
@@ -21,12 +24,7 @@ import math
 import random
 from typing import Dict, List, Optional, Tuple
 
-from .fields import (
-    FieldDescriptor,
-    _powers,
-    cyclotomic_field,
-    rational_field,
-)
+from .fields import FieldDescriptor, _zeta_sum, cyclotomic_field, rational_field
 from .projective import Configuration, ProjectivePoint
 
 
@@ -40,19 +38,7 @@ def _require(cond: bool, msg: str):
 
 
 # ---------------------------------------------------------------------------
-# Integer vectors over Q(zeta_L) as sums of power-table rows.
-
-def _vector(L: int, terms) -> tuple:
-    """The integer vector of sum(c * zeta^k) over the pairs (k, c) in terms:
-    the c-weighted sum of the rows _powers(L)[k]."""
-    rows = _powers(L)
-    out = [0] * len(rows[0])
-    for k, c in terms:
-        for i, r in enumerate(rows[k % L]):
-            if r:
-                out[i] += c * r
-    return tuple(out)
-
+# Integer vectors over Q(zeta_L) as sums of powers of zeta.
 
 def _over_x_minus_1(M: int, e: int, c: int, scale: int) -> list:
     """Terms of scale * M * zeta^c / (x - 1) for x = zeta^e of order M > 1,
@@ -61,8 +47,9 @@ def _over_x_minus_1(M: int, e: int, c: int, scale: int) -> list:
 
 
 def _points(field: FieldDescriptor, triples) -> tuple:
-    """The points whose coordinates are the _vector sums of the triples."""
-    return tuple(ProjectivePoint._of_vectors(field, tuple(_vector(field.N, t) for t in triple))
+    """The points whose coordinates are the _zeta_sum vectors of the triples'
+    terms."""
+    return tuple(ProjectivePoint._of_vectors(field, tuple(_zeta_sum(field.N, t) for t in triple))
                  for triple in triples)
 
 
@@ -73,8 +60,8 @@ def fermat(m: int) -> Configuration:
     a + b + c = 0 (mod m); the three side lines carry m points each."""
     _require(m >= 3, f"fermat wants m >= 3, got {m}")
     field = cyclotomic_field(m)
-    one, zero = _powers(m)[0], (0,) * field.degree
-    minus = [tuple(-x for x in w) for w in _powers(m)]
+    one, zero = _zeta_sum(m, [(0, 1)]), (0,) * field.degree
+    minus = [_zeta_sum(m, [(j, -1)]) for j in range(m)]
     triples = ([(one, w, zero) for w in minus] + [(zero, one, w) for w in minus]
                + [(w, zero, one) for w in minus])
     pts = tuple(ProjectivePoint._of_vectors(field, t) for t in triples)
@@ -196,44 +183,36 @@ def random_config(n: int, seed: int, bound: Optional[int] = None) -> Configurati
 
 
 # ---------------------------------------------------------------------------
-# Closed-form spectra (with the small-parameter bucket merges).
+# Closed-form spectra.
 
 def expected_spectrum(name: str, **params) -> Optional[Dict[int, int]]:
     """Known exact line spectrum {i: l_i} for a generator call, or None when
-    the family has no closed form here (grid, random)."""
+    the family has no closed form here (grid, random).  Each family lists
+    one (line size, count) pair per kind of its lines; the counts of pairs
+    of one size add up, as at fermat(3), whose three side lines hold 3
+    points like its cross lines, and a zero count is dropped."""
     if name == "fermat":
         m = params["m"]
-        if m == 3:
-            return {3: 12}
-        return {3: m * m, m: 3}
-    if name == "boroczky":
+        kinds = [(3, m * m), (m, 3)]  # cross lines, side lines
+    elif name == "boroczky":
         m = params["m"]
-        chords = m * (m - 1) // 2
-        if m == 3:
-            return {2: 3, 3: chords + 1}
-        if m == 4:
-            return {2: 4, 3: chords, 4: 1}
-        return {2: m, 3: chords, m: 1}
-    if name == "sylvester_cubic":
+        kinds = [(2, m), (3, m * (m - 1) // 2), (m, 1)]  # tangents, chords, infinity
+    elif name == "sylvester_cubic":
         m = 2 * params["k"]
-        g = 3 if m % 3 == 0 else 1
-        triples = (m * m - 3 * m + 2 * g) // 6
-        out = {3: triples}
-        ordinary = m - g
-        if ordinary:
-            out[2] = ordinary
-        return out
-    if name == "two_lines":
+        g = 3 if m % 3 == 0 else 1  # the points with 3a = 0 (mod m)
+        kinds = [(3, (m * m - 3 * m + 2 * g) // 6), (2, m - g)]  # secants, tangents
+    elif name == "two_lines":
         m = params["m"]
-        if m == 2:
-            return {2: 6}
-        return {2: m * m, m: 2}
-    if name == "near_pencil":
+        kinds = [(2, m * m), (m, 2)]  # cross lines, the two axes
+    elif name == "near_pencil":
         n = params["n"]
-        if n == 3:
-            return {2: 3}
-        return {2: n - 1, n - 1: 1}
-    return None
+        kinds = [(2, n - 1), (n - 1, 1)]  # lines through the apex, the base
+    else:
+        return None
+    spectrum: Dict[int, int] = {}
+    for size, count in kinds:
+        spectrum[size] = spectrum.get(size, 0) + count
+    return {size: count for size, count in spectrum.items() if count}
 
 
 GENERATORS = {

@@ -9,9 +9,11 @@ maps zeta to zeta^(N-1), i.e. complex conjugation under the standard
 embedding.  No floating point is used anywhere in this module.
 
 All arithmetic runs on integer coefficient vectors.  For Q(zeta_N) one cached
-table, _powers(N)[k] = x^k mod Phi_N for 0 <= k < N, serves three jobs:
-products reduce x^k through row k mod N (x^N = 1 mod Phi_N), the Galois map
-zeta -> zeta^k sends x^i to row i*k mod N, and zeta itself is row 1.  Every
+table, _powers(N)[k] = x^k mod Phi_N for 0 <= k < N, has one reader,
+_zeta_sum, which writes a sum of powers of zeta as a vector by adding rows
+k mod N (x^N = 1 mod Phi_N).  It serves every job: products reduce x^k for
+k >= phi(N), the Galois map zeta -> zeta^k sends x^i to row i*k mod N, zeta
+itself is row 1, and the cyclotomic families are sums of rows.  Every
 field inverts through the norm: with adj the product of the element's
 non-identity Galois conjugates, a * adj = N(a) is a nonzero integer over the
 common denominator, so a^-1 = adj / N(a) (Cohen, A Course in Computational
@@ -164,8 +166,7 @@ class FieldDescriptor(namedtuple("FieldDescriptor", "kind d N")):
                 f"{self} element wants {self.degree} coefficients, got {len(coeffs)}"
             )
         fracs = [_exact(c) for c in coeffs]
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        (nums,), den = _over_lcm([(f.numerator, f.denominator) for f in fracs], self.degree)
         return FieldElement(self, nums, den)
 
     def from_rational(self, value: Rationalish) -> "FieldElement":
@@ -183,7 +184,7 @@ class FieldDescriptor(namedtuple("FieldDescriptor", "kind d N")):
         """Primitive N-th root of unity (cyclotomic fields only)."""
         if self.kind != CYCLOTOMIC:
             raise FieldError("zeta lives in cyclotomic fields")
-        return FieldElement(self, _powers(self.N)[1 % self.N], 1)
+        return FieldElement(self, _zeta_sum(self.N, [(1, 1)]), 1)
 
     def sqrt_gen(self) -> "FieldElement":
         """The generator sqrt(d) (quadratic fields only)."""
@@ -204,6 +205,17 @@ def _exact(value: Rationalish) -> Fraction:
     if isinstance(value, float):
         raise FieldError(f"field elements want exact rationals, got the float {value!r}")
     return Fraction(value)
+
+
+def _over_lcm(pairs, deg: int) -> tuple:
+    """(vectors, den): the numerators of the fractions p/q in `pairs`
+    scaled to their least common denominator den, cut into vectors of deg
+    entries each.  Every route that clears coefficients of denominators
+    clears them here, but for the rational load, which writes the rule out
+    on three ints (serialization._rational_point)."""
+    den = math.lcm(*[q for _, q in pairs])
+    nums = [p if q == den else p * (den // q) for p, q in pairs]
+    return tuple(tuple(nums[i:i + deg]) for i in range(0, len(nums), deg)), den
 
 
 def rational_field() -> FieldDescriptor:
@@ -249,29 +261,26 @@ def _mul_intvec(field: FieldDescriptor, u: Sequence[int], v: Sequence[int]) -> t
         if x:
             for j, y in enumerate(v):
                 conv[i + j] += x * y
-    out = conv[:deg]
-    N = field.N
-    powers = _powers(N)
-    for k in range(deg, 2 * deg - 1):
-        c = conv[k]
+    return _zeta_sum(field.N, enumerate(conv[deg:], deg), conv[:deg])
+
+
+def _zeta_sum(N: int, terms, start=None) -> tuple:
+    """The integer vector of start + sum(c * zeta^k) over the pairs (k, c)
+    in terms, in Q(zeta_N): the c-weighted sum of the rows _powers(N)[k mod N]
+    added to start, the zero vector if None."""
+    rows = _powers(N)
+    out = [0] * len(rows[0]) if start is None else list(start)
+    for k, c in terms:
         if c:
-            row = powers[k % N]
-            for i in range(deg):
-                out[i] += c * row[i]
+            for i, r in enumerate(rows[k % N]):
+                if r:
+                    out[i] += c * r
     return tuple(out)
 
 
 def _galois(field: FieldDescriptor, nums: Sequence[int], k: int) -> tuple:
     """Image of an element of Q(zeta_N) under zeta -> zeta^k."""
-    N = field.N
-    powers = _powers(N)
-    out = [0] * len(nums)
-    for i, c in enumerate(nums):
-        if c:
-            for j, r in enumerate(powers[i * k % N]):
-                if r:
-                    out[j] += c * r
-    return tuple(out)
+    return _zeta_sum(field.N, zip(range(0, k * len(nums), k), nums))  # (i * k, nums[i])
 
 
 @lru_cache(maxsize=None)

@@ -70,6 +70,7 @@ from .fields import (
     _conjugate,
     _evaluation,
     _mul_intvec,
+    _over_lcm,
     _screen,
     rational_field,
 )
@@ -90,8 +91,9 @@ class InternalError(RuntimeError):
 def _coerce_triple(coords, field: FieldDescriptor | None):
     """The field and the integer coefficient vectors of any number of
     coordinates (ints, Fractions or FieldElements, never floats), cleared of
-    denominators over one lcm: the integer vectors that every package route
-    builds points from, here from a triple or a projective map's entries."""
+    denominators over one lcm (_over_lcm): the integer vectors that every
+    package route builds points from, here from a triple or a projective
+    map's entries."""
     items = list(coords)
     fields = {c.field for c in items if isinstance(c, FieldElement)}
     if field is not None:
@@ -99,19 +101,17 @@ def _coerce_triple(coords, field: FieldDescriptor | None):
     if len(fields) > 1:
         raise FieldMismatchError("mixed fields in one coordinate triple or matrix")
     field = fields.pop() if fields else rational_field()
-    pad = (0,) * (field.degree - 1)
+    pad = [(0, 1)] * (field.degree - 1)
     pairs = []
     for c in items:
         if isinstance(c, FieldElement):
-            pairs.append((c.nums, c.den))
+            pairs += [(x, c.den) for x in c.nums]
         elif isinstance(c, float):
             raise GeometryError(f"coordinates must be exact, got the float {c!r}")
         else:
             c = c if isinstance(c, (int, Fraction)) else Fraction(c)
-            pairs.append(((c.numerator,) + pad, c.denominator))
-    lcm = math.lcm(*[den for _, den in pairs])
-    return field, tuple(nums if den == lcm else tuple(x * (lcm // den) for x in nums)
-                        for nums, den in pairs)
+            pairs += [(c.numerator, c.denominator), *pad]
+    return field, _over_lcm(pairs, field.degree)[0]
 
 
 def _cross(field: FieldDescriptor, u, v) -> tuple:
@@ -149,6 +149,12 @@ def _canonical(field: FieldDescriptor, vecs) -> tuple:
     return tuple(tuple(x // g for x in v) for v in vecs)
 
 
+def _pivot(vecs) -> int:
+    """The pivot of a canonical form: the first entry of its first nonzero
+    vector, a positive integer, which `coords` scales to 1."""
+    return next(v[0] for v in vecs if any(v))
+
+
 def _on_line(field: FieldDescriptor, point, line) -> bool:
     """Exact incidence of two triples of integer coefficient vectors: does
     point . line vanish?"""
@@ -167,15 +173,9 @@ class _HomogeneousTriple:
 
     def __new__(cls, coords, field: FieldDescriptor | None = None):
         """The triple of `coords` over `field`, or over the coordinates'
-        field if None.  A tuple of three ints (not bools) over Q goes to
-        _of_ints; every other input is cleared of denominators by
-        _coerce_triple and passed to _of_vectors.  Both give the same
-        form."""
-        if (type(coords) is tuple and len(coords) == 3
-                and (field is None or field.kind == RATIONAL)
-                and type(coords[0]) is int and type(coords[1]) is int
-                and type(coords[2]) is int):
-            return cls._of_ints(field or rational_field(), *coords)
+        field if None: cleared of denominators by _coerce_triple and passed
+        to _of_vectors.  Package routes that hold int triples call _of_ints,
+        which gives the same form."""
         fld, vecs = _coerce_triple(coords, field)
         if len(vecs) != 3:
             raise GeometryError(f"homogeneous triple wants 3 coordinates, got {len(vecs)}")
@@ -209,7 +209,7 @@ class _HomogeneousTriple:
 
     @property
     def coords(self):
-        pivot = next(v[0] for v in self.intvecs if any(v))
+        pivot = _pivot(self.intvecs)
         return tuple(FieldElement(self.field, v, pivot) for v in self.intvecs)
 
     def sort_token(self):
@@ -217,7 +217,7 @@ class _HomogeneousTriple:
         first nonzero coordinate scaled to 1: the data of `coords`, built
         without field elements."""
         vecs = self.intvecs
-        pivot = next(v[0] for v in vecs if any(v))
+        pivot = _pivot(vecs)
         gcds = [math.gcd(pivot, *v) for v in vecs]
         return tuple((tuple(x // g for x in v), pivot // g) for v, g in zip(vecs, gcds))
 
@@ -747,15 +747,19 @@ def _forked_tallies(n: int, keyed, workers: int):
     range(w, n - 1, workers): stripe 0 in this process and each other
     stripe in an os.fork()ed _stripe_worker, which inherits the keyed input
     and sends back only its tally.  Row i has n - 1 - i pairs, so
-    interleaving balances the stripes.  If os.fork fails (no process or
-    memory left), this process counts the stripes it could not hand out.
+    interleaving balances the stripes.  If os.pipe or os.fork fails (no
+    descriptor, process or memory left), this process counts the stripes it
+    could not hand out.
 
     Every worker is reaped before this returns or raises, and killed first
     if this process raised; a worker that failed raises InternalError."""
     pids, read_ends, encoded = [], [], []
     try:
         for w in range(1, workers):
-            read_end, write_end = os.pipe()
+            try:
+                read_end, write_end = os.pipe()
+            except OSError:
+                break
             read_ends.append(read_end)
             try:
                 pid = os.fork()

@@ -17,8 +17,8 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
-from .fields import FieldDescriptor, FieldError, RATIONAL
-from .projective import Configuration, LineSpectrum, ProjectivePoint
+from .fields import FieldDescriptor, FieldError, RATIONAL, _over_lcm
+from .projective import Configuration, LineSpectrum, ProjectivePoint, _pivot
 
 if TYPE_CHECKING:  # annotations only: loading serialization imports neither
     from .inequalities import InequalityReport
@@ -126,7 +126,7 @@ def _rational_point_json(vecs) -> list:
 
 def _point_json(vecs) -> list:
     """The coefficient arrays of a point over an extension field."""
-    pivot = next(v[0] for v in vecs if any(v))
+    pivot = _pivot(vecs)
     return [[_coeff_str(x, pivot) for x in v] for v in vecs]
 
 
@@ -157,7 +157,8 @@ def _rational_point(field: FieldDescriptor, triple) -> ProjectivePoint:
     """The point of three rational coordinates: their _parse_coeff pairs
     over a common denominator, an int triple for ProjectivePoint._of_ints.
     The same point as ProjectivePoint of their Fractions, with no Fraction
-    built."""
+    built.  It runs once per point of every rational load, so it clears the
+    denominators written out on three ints, not through fields._over_lcm."""
     (a, p), (b, q), (c, r) = map(_parse_coeff, triple)
     den = math.lcm(p, q, r)
     return ProjectivePoint._of_ints(field, a * (den // p), b * (den // q), c * (den // r))
@@ -165,9 +166,10 @@ def _rational_point(field: FieldDescriptor, triple) -> ProjectivePoint:
 
 def _point(field: FieldDescriptor, triple) -> ProjectivePoint:
     """The point of three coefficient arrays over an extension field: their
-    _parse_coeff pairs over one lcm, for ProjectivePoint._of_vectors.  Each
-    array is checked and parsed in turn, so the point and the first error
-    are those of ProjectivePoint of their field elements, with none built."""
+    _parse_coeff pairs over one lcm (fields._over_lcm), for
+    ProjectivePoint._of_vectors.  Each array is checked and parsed in turn,
+    so the point and the first error are those of ProjectivePoint of their
+    field elements, with none built."""
     deg = field.degree
     pairs = []
     for c in triple:
@@ -177,10 +179,7 @@ def _point(field: FieldDescriptor, triple) -> ProjectivePoint:
         if len(c) != deg:
             raise SerializationError(f"{field} element needs {deg} coefficients, got {len(c)}")
         pairs += map(_parse_coeff, c)
-    den = math.lcm(*[q for _, q in pairs])
-    nums = [p if q == den else p * (den // q) for p, q in pairs]
-    return ProjectivePoint._of_vectors(
-        field, (tuple(nums[:deg]), tuple(nums[deg:-deg]), tuple(nums[-deg:])))
+    return ProjectivePoint._of_vectors(field, _over_lcm(pairs, deg)[0])
 
 
 def dumps(obj) -> str:

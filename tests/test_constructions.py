@@ -11,7 +11,6 @@ from linespectra.constructions import (
     ConstructionError,
     _distinct_points,
     _over_x_minus_1,
-    _vector,
     boroczky,
     expected_spectrum,
     fermat,
@@ -21,7 +20,7 @@ from linespectra.constructions import (
     sylvester_cubic,
     two_lines,
 )
-from linespectra.fields import _mul_intvec, _powers, cyclotomic_field
+from linespectra.fields import _mul_intvec, _powers, _zeta_sum, cyclotomic_field
 from linespectra.projective import Configuration, ProjectivePoint, collinear, spectrum
 
 CLOSED_FORM_CASES = (
@@ -54,9 +53,62 @@ def test_boroczky_meets_the_incidence_formula_at_cap_n_over_2(m):
     assert max(ell) == n // 2
 
 
+def _expected_by_cases(name, **params):
+    # the closed forms as a chain of small-parameter cases, each bucket merge
+    # written out: expected_spectrum derives every one by summing counts
+    if name == "fermat":
+        m = params["m"]
+        if m == 3:
+            return {3: 12}
+        return {3: m * m, m: 3}
+    if name == "boroczky":
+        m = params["m"]
+        chords = m * (m - 1) // 2
+        if m == 3:
+            return {2: 3, 3: chords + 1}
+        if m == 4:
+            return {2: 4, 3: chords, 4: 1}
+        return {2: m, 3: chords, m: 1}
+    if name == "sylvester_cubic":
+        m = 2 * params["k"]
+        g = 3 if m % 3 == 0 else 1
+        out = {3: (m * m - 3 * m + 2 * g) // 6}
+        if m - g:
+            out[2] = m - g
+        return out
+    if name == "two_lines":
+        m = params["m"]
+        if m == 2:
+            return {2: 6}
+        return {2: m * m, m: 2}
+    if name == "near_pencil":
+        n = params["n"]
+        if n == 3:
+            return {2: 3}
+        return {2: n - 1, n - 1: 1}
+    return None
+
+
+@pytest.mark.parametrize("name,key,values", [
+    ("fermat", "m", range(3, 61)),
+    ("boroczky", "m", range(3, 61)),
+    ("sylvester_cubic", "k", range(2, 41)),
+    ("two_lines", "m", range(2, 61)),
+    ("near_pencil", "n", range(3, 61)),
+])
+def test_summed_closed_forms_match_the_case_by_case_spectra(name, key, values):
+    for value in values:
+        expected = _expected_by_cases(name, **{key: value})
+        got = expected_spectrum(name, **{key: value})
+        assert got == expected and list(got) == list(expected), value
+        assert 0 not in got.values()
+
+
 def test_expected_spectrum_unavailable_for_irregular_families():
     assert expected_spectrum("grid", a=3, b=4) is None
     assert expected_spectrum("random", n=10, seed=0) is None
+    assert expected_spectrum("random_config", n=10, seed=0) is None
+    assert expected_spectrum("") is None
 
 
 def test_point_counts():
@@ -252,7 +304,7 @@ def test_closed_form_inverse_of_a_root_of_unity_minus_one(L):
     for e in range(1, L):
         M = L // math.gcd(e, L)
         x_minus_1 = tuple(a - b for a, b in zip(_powers(L)[e], one))
-        product = _mul_intvec(field, x_minus_1, _vector(L, _over_x_minus_1(M, e, 0, 1)))
+        product = _mul_intvec(field, x_minus_1, _zeta_sum(L, _over_x_minus_1(M, e, 0, 1)))
         assert product == (M,) + (0,) * (field.degree - 1)
 
 

@@ -3,6 +3,7 @@ sources."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import typing
@@ -229,8 +230,8 @@ def test_only_serialization_writes_json():
 KERNEL_INTERNALS = {"_screened_rows", "_tally_rows", "_fold_rows", "_slope_screen"}
 
 
-def _kernel_names(source):
-    # (line, name) of each kernel internal the module names: read, imported
+def _kernel_names(source, internals=KERNEL_INTERNALS):
+    # (line, name) of each of the internals the module names: read, imported
     # or reached as an attribute
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -242,7 +243,7 @@ def _kernel_names(source):
             names = [node.attr]
         else:
             continue
-        found += [(node.lineno, name) for name in names if name in KERNEL_INTERNALS]
+        found += [(node.lineno, name) for name in names if name in internals]
     return sorted(found)
 
 
@@ -257,6 +258,31 @@ def test_only_projective_names_the_kernel_internals():
              if path.name != "projective.py"}
     assert len(found) == 9
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_only_fields_names_the_power_table():
+    # fields._zeta_sum is the one reader of _powers: every other module
+    # writes its sums of powers of zeta through it
+    assert _kernel_names("from .fields import _powers\nf._powers(4)\n", {"_powers"}) == [
+        (1, "_powers"), (2, "_powers")]
+    package = Path(linespectra.__file__).parent
+    found = {path.name: _kernel_names(path.read_text(), {"_powers"})
+             for path in package.glob("*.py") if path.name != "fields.py"}
+    assert len(found) == 9
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_every_mutant_target_occurs_once():
+    # the mutation harness refuses to run if a target text is missing or
+    # repeated; a refactor that strands a mutant fails here first
+    path = Path(__file__).resolve().parent.parent / "mutants" / "run.py"
+    spec = importlib.util.spec_from_file_location("mutants_run", path)
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    assert len({m.name for m in harness.MUTANTS}) == len(harness.MUTANTS)
+    for m in harness.MUTANTS:
+        assert (harness.ROOT / m.path).read_text().count(m.old) == 1, m.name
+        assert m.old != m.new and all((harness.ROOT / t).is_file() for t in m.tests), m.name
 
 
 def _type_checking_names(module):

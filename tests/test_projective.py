@@ -661,6 +661,32 @@ def test_the_caller_counts_the_stripes_it_could_not_fork(monkeypatch):
         _assert_no_worker_left()
 
 
+@pytest.mark.parametrize("workers,allowed", [(2, 0), (2, 1), (3, 0), (3, 1)])
+def test_the_caller_counts_the_stripes_it_could_not_open_a_pipe_for(monkeypatch, workers,
+                                                                     allowed):
+    # os.pipe fails (no descriptor left) after `allowed` calls: the stripes
+    # it opened no pipe for are counted here, like those of a failed fork
+    config = grid(6, 7)
+    serial = spectrum(config)
+    monkeypatch.setattr(projective, "_FORK_FLOOR", 0)
+    pipe, opened = os.pipe, []
+
+    def failing_pipe():
+        if len(opened) >= allowed:
+            raise OSError(24, "Too many open files")
+        opened.append(pipe())
+        return opened[-1]
+
+    monkeypatch.setattr(os, "pipe", failing_pipe)
+    forks = _counting_forks(monkeypatch)
+    assert spectrum(config, workers=workers) == serial
+    assert len(forks) == allowed
+    _assert_no_worker_left()
+    for fd in itertools.chain(*opened):
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
 def test_below_the_floor_the_caller_counts_every_row(monkeypatch):
     # every check-families benchmark input has n <= 400 and stays serial
     config = random_config(400, seed=1)
